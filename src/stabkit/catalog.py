@@ -18,9 +18,7 @@ from . import lattice as lattice_mod
 from . import pauli, stabilizer
 from .pauli import PauliWord
 from .stabilizer import LogicalOperators, StabilizerCode
-from .statevec import Circuit, ProjectorEncoder
-
-PROJECTOR_ENCODER_MAX_QUBITS = 14
+from .statevec import PROJECTOR_ENCODER_MAX_QUBITS, Circuit, ProjectorEncoder
 
 
 @dataclass(frozen=True)

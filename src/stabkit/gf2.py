@@ -6,6 +6,8 @@ zero so whole-word XOR and popcount are safe.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _WORD = 64
@@ -15,8 +17,39 @@ def _n_words(bits: int) -> int:
     return max(1, (bits + _WORD - 1) // _WORD)
 
 
+def _pack(bits) -> np.ndarray:
+    """0/1 array of shape (..., m) -> uint64 words of shape (..., _n_words(m)).
+
+    With _unpack, the only code that knows the bit order within a word.
+    """
+    bits = np.asarray(bits)
+    m = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (_n_words(m) * _WORD,), dtype=np.uint8)
+    padded[..., :m] = bits & 1
+    words = np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+    return words.astype(np.uint64, copy=False)
+
+
+def _unpack(data: np.ndarray, m: int) -> np.ndarray:
+    """uint64 words of shape (..., words) -> uint8 0/1 array of shape (..., m)."""
+    raw = np.ascontiguousarray(data, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=m, bitorder="little")
+
+
+def _concat(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Words of the 2n-bit image (x|z) from the words of two n-bit halves."""
+    return _pack(np.concatenate([_unpack(x, n), _unpack(z, n)], axis=-1))
+
+
+def _split(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of _concat: the words of the halves x and z of (x|z)."""
+    bits = _unpack(v, 2 * n)
+    return _pack(bits[..., :n]), _pack(bits[..., n:])
+
+
+@functools.cache
 def _pad_mask(bits: int) -> np.ndarray:
-    """Per-word mask clearing bits at positions >= `bits`."""
+    """Per-word mask clearing bits at positions >= `bits` (read-only, shared)."""
     words = _n_words(bits)
     mask = np.full(words, ~np.uint64(0), dtype=np.uint64)
     tail = bits % _WORD
@@ -24,6 +57,7 @@ def _pad_mask(bits: int) -> np.ndarray:
         mask[-1] = np.uint64((1 << tail) - 1)
     elif bits == 0:
         mask[0] = np.uint64(0)
+    mask.flags.writeable = False
     return mask
 
 
@@ -46,12 +80,9 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
-        bits = list(bits)
-        v = cls(len(bits))
-        for i, b in enumerate(bits):
-            if b & 1:
-                v.data[i // _WORD] |= np.uint64(1) << np.uint64(i % _WORD)
-        return v
+        if not isinstance(bits, np.ndarray):
+            bits = np.array(list(bits), dtype=np.int64)
+        return cls(len(bits), _pack(bits))
 
     def copy(self) -> "BitVector":
         return BitVector(self.len, self.data.copy())
@@ -71,7 +102,7 @@ class BitVector:
             self.data[i // _WORD] &= ~bit
 
     def to_bits(self) -> list[int]:
-        return [self.get(i) for i in range(self.len)]
+        return _unpack(self.data, self.len).tolist()
 
     def popcount(self) -> int:
         return int(np.bitwise_count(self.data).sum())
@@ -128,21 +159,14 @@ class BitMatrix:
         rows_bits = [list(r) for r in rows_bits]
         if cols is None:
             cols = len(rows_bits[0]) if rows_bits else 0
-        m = cls(len(rows_bits), cols)
-        for i, row in enumerate(rows_bits):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, b in enumerate(row):
-                if b & 1:
-                    m.data[i, j // _WORD] |= np.uint64(1) << np.uint64(j % _WORD)
-        return m
+        if any(len(row) != cols for row in rows_bits):
+            raise ValueError("ragged rows")
+        bits = np.array(rows_bits, dtype=np.int64).reshape(len(rows_bits), cols)
+        return cls(len(rows_bits), cols, _pack(bits))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i, i // _WORD] |= np.uint64(1) << np.uint64(i % _WORD)
-        return m
+        return cls(n, n, _pack(np.eye(n, dtype=np.uint8)))
 
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.rows, self.cols, self.data.copy())
@@ -165,14 +189,14 @@ class BitMatrix:
         return BitVector(self.cols, self.data[i].copy())
 
     def to_lists(self) -> list[list[int]]:
-        return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
+        return _unpack(self.data, self.cols).tolist()
 
     def mat_vec(self, v: BitVector) -> BitVector:
         """Matrix-vector product over GF(2)."""
         if v.len != self.cols:
             raise ValueError("dimension mismatch")
         prod = np.bitwise_count(self.data & v.data[None, :]).sum(axis=1) & 1
-        return BitVector.from_bits(prod.tolist())
+        return BitVector(self.rows, _pack(prod))
 
     def __eq__(self, other) -> bool:
         return (
@@ -229,23 +253,17 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
     rref, pivots = row_reduce(m)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        v = BitVector(m.cols)
-        v.set(free, 1)
-        for prow, pcol in enumerate(pivots):
-            if rref.get(prow, free):
-                v.set(pcol, 1)
-        basis.append(v)
-    return basis
+    # one basis vector per free column: a 1 there, and on each pivot column
+    # the entry of the pivot's RREF row in that free column
+    basis = np.zeros((len(free_cols), m.cols), dtype=np.uint8)
+    basis[np.arange(len(free_cols)), free_cols] = 1
+    basis[:, pivots] = _unpack(rref.data[: len(pivots)], m.cols)[:, free_cols].T
+    return [BitVector(m.cols, row) for row in _pack(basis)]
 
 
 def in_rowspace(m: BitMatrix, v: BitVector) -> bool:
     """True iff v is a GF(2) combination of the rows of m."""
-    if v.len != m.cols:
-        raise ValueError(f"vector length {v.len} != matrix cols {m.cols}")
-    rref, pivots = row_reduce(m)
-    return _reduce_against(rref, pivots, v).is_zero()
+    return RowSpace(m).contains(v)
 
 
 def _reduce_against(rref: BitMatrix, pivots: list[int], v: BitVector) -> BitVector:

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import gf2
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, BitVector
 from .pauli import PauliWord
 from .stabilizer import LogicalOperators
 
@@ -25,31 +27,30 @@ class CellComplex:
     @cached_property
     def boundary1(self) -> BitMatrix:
         """vertices x edges incidence over Z2."""
-        m = BitMatrix(self.n_vertices, len(self.edges))
-        for j, ends in enumerate(self.edges):
-            for v in ends:
-                m.set(v, j, m.get(v, j) ^ 1)
-        return m
+        return BitMatrix.from_rows(_chains(self.edges, self.n_vertices).T, len(self.edges))
 
     @cached_property
     def boundary2(self) -> BitMatrix:
         """edges x faces incidence over Z2."""
-        m = BitMatrix(len(self.edges), len(self.faces))
-        for j, face in enumerate(self.faces):
-            for e in face:
-                m.set(e, j, m.get(e, j) ^ 1)
-        return m
+        return BitMatrix.from_rows(_chains(self.faces, len(self.edges)).T, len(self.faces))
 
     def violations(self) -> list[str]:
         out = []
-        for f in range(len(self.faces)):
-            col = gf2.BitVector(len(self.edges))
-            for e in self.faces[f]:
-                col.set(e, col.get(e) ^ 1)
-            image = self.boundary1.mat_vec(col)
+        for f, col in enumerate(_chains(self.faces, len(self.edges))):
+            image = self.boundary1.mat_vec(BitVector.from_bits(col))
             if not image.is_zero():
                 out.append(f"face {f} is not a closed walk (boundary nonzero)")
         return out
+
+
+def _chains(cells, length: int) -> np.ndarray:
+    """Z2 indicator rows: row j sums the unit vectors of the indices in
+    cells[j], so an index listed twice cancels."""
+    rows = np.array([j for j, cell in enumerate(cells) for _ in cell], dtype=np.intp)
+    cols = np.array([i for cell in cells for i in cell], dtype=np.intp)
+    counts = np.zeros((len(cells), length), dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
+    return counts & 1
 
 
 def homology_rank(complex_: CellComplex, degree: int) -> int:
@@ -175,13 +176,10 @@ def build_planar(m: int, n: int) -> Lattice:
 
 
 def _word_on_edges(n_qubits: int, edge_ids, letter: str) -> PauliWord:
-    word = PauliWord.identity(n_qubits)
-    for e in edge_ids:
-        if letter == "X":
-            word.x_bits.set(e, 1)
-        else:
-            word.z_bits.set(e, 1)
-    return word
+    bits = np.zeros(n_qubits, dtype=np.uint8)
+    bits[list(edge_ids)] = 1
+    on, off = BitVector.from_bits(bits), BitVector(n_qubits)
+    return PauliWord(n_qubits, on, off) if letter == "X" else PauliWord(n_qubits, off, on)
 
 
 def stabilizers_from_lattice(lat: Lattice) -> list[PauliWord]:
@@ -204,8 +202,8 @@ def stabilizers_from_lattice(lat: Lattice) -> list[PauliWord]:
 def logical_cycles(lat: Lattice) -> LogicalOperators:
     """Canonical logical pairs from non-bounding cycles.
 
-    Toric: two pairs, routed through row 0 and column 0; logical weights
-    are {m, n, m, n}. Planar: one pair, the row-0 horizontal Z chain
+    Toric: two pairs, routed through row 0 and column 0, of weight m, n,
+    m and n. Planar: one pair, the row-0 horizontal Z chain
     (weight n) and the column-0 vertical dual X chain, which crosses the
     m+1 horizontal edges of column 0.
     """

@@ -17,6 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import gf2
 from .gf2 import BitVector
 from .pauli import PauliWord
 from .stabilizer import StabilizerCode, Syndrome, SyndromeTable, build_syndrome_table
@@ -108,9 +109,7 @@ def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliWo
     _validate_model(model)
     u = rng.random(_uniform_shape(model, n))
     x, z = _sample_bits(model, n, u)
-    return PauliWord(
-        n, BitVector.from_bits(x.astype(int)), BitVector.from_bits(z.astype(int)), 0
-    )
+    return PauliWord(n, BitVector.from_bits(x), BitVector.from_bits(z), 0)
 
 
 class TrialOutcome(Enum):
@@ -179,29 +178,28 @@ class _CodeArrays:
         self.n, self.l = n, l
         # int64 so the uint8 error matrices promote in the syndrome matmul
         # (a uint8 accumulator would overflow past 255 qubits)
-        self.gx = np.zeros((l, n), dtype=np.int64)
-        self.gz = np.zeros((l, n), dtype=np.int64)
-        for i, g in enumerate(code.generators):
-            self.gx[i] = g.x_bits.to_bits()
-            self.gz[i] = g.z_bits.to_bits()
-        self.weights = (np.uint64(1) << np.arange(l, dtype=np.uint64))
-        corr_x = [np.zeros(n, dtype=np.uint8)]
-        corr_z = [np.zeros(n, dtype=np.uint8)]
-        self.key_to_idx = {0: 0}
-        for s, w in table.entries.items():
-            key = int(np.dot(np.array(s.bits, dtype=np.uint64), self.weights))
-            if key == 0:
-                continue
-            self.key_to_idx[key] = len(corr_x)
-            corr_x.append(np.array(w.x_bits.to_bits(), dtype=np.uint8))
-            corr_z.append(np.array(w.z_bits.to_bits(), dtype=np.uint8))
-        self.corr_x = np.stack(corr_x)
-        self.corr_z = np.stack(corr_z)
+        checks = gf2._unpack(code.parity_check.data, 2 * n).astype(np.int64)
+        self.gx = np.ascontiguousarray(checks[:, :n])
+        self.gz = np.ascontiguousarray(checks[:, n:])
+        # the zero syndrome always takes the identity, as in decode_outcome
+        entries = {**table.entries, Syndrome((0,) * l): PauliWord.identity(n)}
+        keys = _syndrome_keys(np.array([s.bits for s in entries], dtype=np.uint8))
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        words = list(entries.values())
+        self.corr_x = gf2._unpack(np.stack([w.x_bits.data for w in words])[order], n)
+        self.corr_z = gf2._unpack(np.stack([w.z_bits.data for w in words])[order], n)
         rs = code.rowspace()
-        self.rref_rows = np.array(
-            [rs.rref.row(i).to_bits() for i in range(len(rs.pivots))], dtype=np.uint8
-        ).reshape(len(rs.pivots), 2 * n)
+        self.rref_rows = gf2._unpack(rs.rref.data[: rs.rank], 2 * n)
         self.rref_pivots = list(rs.pivots)
+
+
+def _syndrome_keys(syn: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per 0/1 syndrome row, equal iff the rows
+    are, for any number of generators. All keys share one width, so the
+    bytes dtype's disregard of trailing NULs cannot merge two of them."""
+    packed = np.packbits(syn.astype(np.uint8), axis=1)
+    return np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
 
 
 def _run_stream(
@@ -209,22 +207,15 @@ def _run_stream(
 ) -> tuple[int, int, int]:
     """(success, logical, unmatched) counts for one derived stream."""
     rng = np.random.default_rng(list(seed_pair))
-    n, l = arrays.n, arrays.l
+    n = arrays.n
     u = rng.random((size,) + _uniform_shape(model, n))
     ex, ez = _sample_bits(model, n, u)
     ex = ex.astype(np.uint8)
     ez = ez.astype(np.uint8)
     syn = ((ex @ arrays.gz.T) + (ez @ arrays.gx.T)) & 1
-    keys = syn.astype(np.uint64) @ arrays.weights
-    idx = np.zeros(size, dtype=np.int64)
-    unmatched = np.zeros(size, dtype=bool)
-    for key in np.unique(keys):
-        sel = keys == key
-        hit = arrays.key_to_idx.get(int(key))
-        if hit is None:
-            unmatched[sel] = True
-        else:
-            idx[sel] = hit
+    keys = _syndrome_keys(syn)
+    idx = np.minimum(np.searchsorted(arrays.keys, keys), len(arrays.keys) - 1)
+    unmatched = arrays.keys[idx] != keys
     rx = ex ^ arrays.corr_x[idx]
     rz = ez ^ arrays.corr_z[idx]
     resid = np.concatenate([rx, rz], axis=1)

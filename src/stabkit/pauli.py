@@ -1,9 +1,9 @@
 """n-qubit Pauli group arithmetic with phase tracking.
 
 A word is i^phase * L_0 ... L_{n-1} with letters L determined per qubit by
-an (x, z) bit pair: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). The product rule
-follows the convention X*Z = -i*Y (equivalently Y = i*X*Z), so all phase
-bookkeeping reduces to one per-qubit table.
+an (x, z) bit pair: I=(0,0), X=(1,0), Y=(1,1), Z=(0,1). The x and z bits
+stay packed in BitVectors and every operation works on whole words. The
+product rule follows the convention X*Z = -i*Y (equivalently Y = i*X*Z).
 """
 from __future__ import annotations
 
@@ -11,25 +11,15 @@ import re
 
 import numpy as np
 
+from . import gf2
 from .gf2 import BitVector
 
 _LETTERS = "IXYZ"
 _XZ_OF_LETTER = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_LETTER_OF_XZ = {v: k for k, v in _XZ_OF_LETTER.items()}
-
-# Phase exponent (power of i) contributed by a single-qubit product a*b,
-# indexed by (xa, za, xb, zb). Cyclic products XY, YZ, ZX pick up +i, the
-# reversed ones -i (exponent 3), matching XZ = -iY.
-_PHASE_TABLE: dict[tuple[int, int, int, int], int] = {}
-for _a in _LETTERS:
-    for _b in _LETTERS:
-        if _a == "I" or _b == "I" or _a == _b:
-            _t = 0
-        elif (_a, _b) in (("X", "Y"), ("Y", "Z"), ("Z", "X")):
-            _t = 1
-        else:
-            _t = 3
-        _PHASE_TABLE[_XZ_OF_LETTER[_a] + _XZ_OF_LETTER[_b]] = _t
+# letter codes x + 2z, as ASCII bytes and back (4 marks a byte that is no letter)
+_LETTER_OF_CODE = np.frombuffer(b"IXZY", dtype=np.uint8)
+_CODE_OF_BYTE = np.full(256, 4, dtype=np.uint8)
+_CODE_OF_BYTE[_LETTER_OF_CODE] = np.arange(4)
 
 _PHASE_PREFIXES = {"": 0, "i": 1, "-": 2, "-i": 3}
 _PREFIX_OF_PHASE = {0: "", 1: "i", 2: "-", 3: "-i"}
@@ -56,48 +46,39 @@ class PauliWord:
 
     @classmethod
     def from_letters(cls, letters: str, phase: int = 0) -> "PauliWord":
+        # "replace" keeps one byte per character, so positions survive
+        codes = _CODE_OF_BYTE[np.frombuffer(letters.encode("ascii", "replace"), dtype=np.uint8)]
+        if (codes == 4).any():
+            bad = letters[int(np.argmax(codes == 4))]
+            raise ValueError(f"invalid Pauli letter {bad!r}")
         n = len(letters)
-        x = BitVector(n)
-        z = BitVector(n)
-        for i, ch in enumerate(letters):
-            try:
-                xb, zb = _XZ_OF_LETTER[ch]
-            except KeyError:
-                raise ValueError(f"invalid Pauli letter {ch!r}") from None
-            x.set(i, xb)
-            z.set(i, zb)
-        return cls(n, x, z, phase)
+        return cls(n, BitVector.from_bits(codes & 1), BitVector.from_bits(codes >> 1), phase)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliWord":
         """One non-identity letter at `qubit` (0-based), identity elsewhere."""
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        word = cls.identity(n)
-        xb, zb = _XZ_OF_LETTER[letter]
-        word.x_bits.set(qubit, xb)
-        word.z_bits.set(qubit, zb)
-        return word
+        x, z = np.zeros((2, n), dtype=np.uint8)
+        x[qubit], z[qubit] = _XZ_OF_LETTER[letter]
+        return cls(n, BitVector.from_bits(x), BitVector.from_bits(z), 0)
 
     def letter(self, qubit: int) -> str:
-        return _LETTER_OF_XZ[(self.x_bits.get(qubit), self.z_bits.get(qubit))]
+        if not 0 <= qubit < self.n:
+            raise IndexError(f"qubit {qubit} out of range for n={self.n}")
+        return self.letters()[qubit]
 
     def letters(self) -> str:
-        return "".join(self.letter(q) for q in range(self.n))
+        codes = gf2._unpack(self.x_bits.data, self.n) + 2 * gf2._unpack(self.z_bits.data, self.n)
+        return _LETTER_OF_CODE[codes].tobytes().decode("ascii")
 
     def support(self) -> list[int]:
         """Qubits carrying a non-identity letter."""
-        return [q for q in range(self.n) if self.x_bits.get(q) or self.z_bits.get(q)]
+        return np.flatnonzero(gf2._unpack(self.x_bits.data | self.z_bits.data, self.n)).tolist()
 
     def symplectic(self) -> BitVector:
         """Image (x_1..x_n, z_1..z_n) in Z2^{2n}; independent of phase."""
-        v = BitVector(2 * self.n)
-        for i in range(self.n):
-            if self.x_bits.get(i):
-                v.set(i, 1)
-            if self.z_bits.get(i):
-                v.set(self.n + i, 1)
-        return v
+        return BitVector(2 * self.n, gf2._concat(self.x_bits.data, self.z_bits.data, self.n))
 
     def copy(self) -> "PauliWord":
         return PauliWord(self.n, self.x_bits.copy(), self.z_bits.copy(), self.phase)
@@ -122,11 +103,17 @@ def multiply(a: PauliWord, b: PauliWord) -> PauliWord:
     """Exact group product a*b, including the accumulated phase."""
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    phase = a.phase + b.phase
-    for q in range(a.n):
-        key = (a.x_bits.get(q), a.z_bits.get(q), b.x_bits.get(q), b.z_bits.get(q))
-        phase += _PHASE_TABLE[key]
-    return PauliWord(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, phase % 4)
+    x1, z1, x2, z2 = a.x_bits.data, a.z_bits.data, b.x_bits.data, b.z_bits.data
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    # Counting Y = i*X*Z: each Y in a factor carries i, reordering a's Z
+    # past b's X carries (-1), and each Y in the product gives back one i.
+    phase = (a.phase + b.phase + _count(x1 & z1) + _count(x2 & z2)
+             + 2 * _count(z1 & x2) - _count(x3 & z3))
+    return PauliWord(a.n, BitVector(a.n, x3), BitVector(a.n, z3), phase % 4)
+
+
+def _count(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
 
 
 def inverse(a: PauliWord) -> PauliWord:
@@ -139,9 +126,7 @@ def symplectic_product(a: PauliWord, b: PauliWord) -> int:
     """GF(2) form x_a.z_b + z_a.x_b; 1 iff a and b anticommute."""
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    acc = np.bitwise_count(a.x_bits.data & b.z_bits.data).sum()
-    acc += np.bitwise_count(a.z_bits.data & b.x_bits.data).sum()
-    return int(acc) & 1
+    return (_count(a.x_bits.data & b.z_bits.data) + _count(a.z_bits.data & b.x_bits.data)) & 1
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -151,7 +136,7 @@ def commutes(a: PauliWord, b: PauliWord) -> bool:
 
 def weight(a: PauliWord) -> int:
     """Number of qubits carrying a non-identity letter."""
-    return int(np.bitwise_count(a.x_bits.data | a.z_bits.data).sum())
+    return _count(a.x_bits.data | a.z_bits.data)
 
 
 def parse(text: str, n: int) -> PauliWord:
@@ -190,10 +175,6 @@ def format_word(a: PauliWord) -> str:
 
 def format_product(a: PauliWord) -> str:
     """1-based product form like "X1Z3"; identity renders as "I"."""
-    terms = []
-    for q in range(a.n):
-        ch = a.letter(q)
-        if ch != "I":
-            terms.append(f"{ch}{q + 1}")
+    terms = [f"{ch}{q + 1}" for q, ch in enumerate(a.letters()) if ch != "I"]
     body = "".join(terms) if terms else "I"
     return _PREFIX_OF_PHASE[a.phase] + body

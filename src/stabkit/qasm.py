@@ -94,8 +94,7 @@ def _emit_op(op: Op, qn: _Namer, cn: _Namer) -> list[str]:
         lines = []
         word = op.pauli
         c = op.controls[0]
-        for k, t in enumerate(op.targets):
-            letter = word.letter(k)
+        for t, letter in zip(op.targets, word.letters()):
             if letter == "I":
                 continue
             if letter == "X":
@@ -229,9 +228,9 @@ def build_code_demo(bundle, model: NoiseModel, p: float | None = None,
             entries.append((value, w))
     for value, w in sorted(entries):
         cond = (syn_bits, value)
+        letters = w.letters()
         for q in w.support():
-            letter = w.letter(q)
-            getattr(circ, letter.lower())(q, condition=cond)
+            getattr(circ, letters[q].lower())(q, condition=cond)
     for q in range(n):
         circ.measure(q, n_coins + l + q)
     return circ, qregs, cregs

@@ -59,8 +59,8 @@ class LogicalOperators:
         flat = [(f"X{i}", x) for i, (x, _) in enumerate(self.pairs)]
         flat += [(f"Z{i}", z) for i, (_, z) in enumerate(self.pairs)]
         for name, w in flat:
-            for gi, g in enumerate(code.generators):
-                if not pauli.commutes(w, g):
+            for gi, bit in enumerate(syndrome(code, w).bits):
+                if bit:
                     out.append(f"{name} anticommutes with generator {gi}")
             if rs.contains(w.symplectic()):
                 out.append(f"{name} is a stabilizer element")
@@ -92,10 +92,9 @@ class StabilizerCode:
         self.name = name
         self.n = n
         self.generators = [g.copy() for g in generators]
-        self.parity_check = BitMatrix(len(generators), 2 * n)
-        for i, g in enumerate(generators):
-            v = g.symplectic()
-            self.parity_check.data[i] = v.data
+        self.parity_check = BitMatrix(
+            len(generators), 2 * n, np.stack([g.symplectic().data for g in generators])
+        )
         self._rowspace: gf2.RowSpace | None = None
 
     @classmethod
@@ -143,10 +142,13 @@ def validate(code: StabilizerCode) -> list[str]:
 
 
 def syndrome(code: StabilizerCode, error: PauliWord) -> Syndrome:
-    """Bit i = symplectic product of generator i with the error."""
+    """Bit i = symplectic product of generator i with the error: parity
+    check row i (x|z) dotted with the error's swapped image (z|x)."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} qubits, code has {code.n}")
-    return Syndrome(tuple(pauli.symplectic_product(g, error) for g in code.generators))
+    swapped = gf2._concat(error.z_bits.data, error.x_bits.data, code.n)
+    bits = np.bitwise_count(code.parity_check.data & swapped).sum(axis=1) & 1
+    return Syndrome(tuple(bits.tolist()))
 
 
 def normalizer_kernel(code: StabilizerCode) -> list[BitVector]:
@@ -157,17 +159,8 @@ def normalizer_kernel(code: StabilizerCode) -> list[BitVector]:
     multiplying by the block form Omega swaps the X and Z halves of each
     parity check row.
     """
-    n = code.n
-    swapped = BitMatrix(code.num_generators, 2 * n)
-    for i, g in enumerate(code.generators):
-        v = BitVector(2 * n)
-        for q in range(n):
-            if g.z_bits.get(q):
-                v.set(q, 1)
-            if g.x_bits.get(q):
-                v.set(n + q, 1)
-        swapped.data[i] = v.data
-    return gf2.kernel_basis(swapped)
+    x, z = gf2._split(code.parity_check.data, code.n)
+    return gf2.kernel_basis(BitMatrix(code.num_generators, 2 * code.n, gf2._concat(z, x, code.n)))
 
 
 def word_from_symplectic(v: BitVector) -> PauliWord:
@@ -175,65 +168,40 @@ def word_from_symplectic(v: BitVector) -> PauliWord:
     if v.len % 2:
         raise ValueError("symplectic vector must have even length")
     n = v.len // 2
-    x = BitVector(n)
-    z = BitVector(n)
-    for q in range(n):
-        x.set(q, v.get(q))
-        z.set(q, v.get(n + q))
-    return PauliWord(n, x, z, 0)
+    x, z = gf2._split(v.data, n)
+    return PauliWord(n, BitVector(n, x), BitVector(n, z), 0)
 
 
 def _symplectic_pairs(code: StabilizerCode, candidates: list[BitVector]) -> list[tuple[PauliWord, PauliWord]]:
     """Symplectic Gram-Schmidt: extract k hyperbolic pairs from normalizer
     vectors reduced modulo the stabilizer rowspace."""
-    rs = code.rowspace()
-    pool = []
-    for v in candidates:
-        r = gf2._reduce_against(rs.rref, rs.pivots, v)
-        if not r.is_zero():
-            pool.append(r)
-    # deduplicate to an independent set
-    if pool:
-        m = BitMatrix(len(pool), 2 * code.n)
-        for i, v in enumerate(pool):
-            m.data[i] = v.data
-        rref, pivots = gf2.row_reduce(m)
-        pool = [rref.row(i) for i in range(len(pivots))]
     pairs = []
-    vectors = pool
+    vectors = [word_from_symplectic(v) for v in _quotient_basis(candidates, code.rowspace())]
     while vectors:
         a = vectors[0]
         rest = vectors[1:]
-        b = None
-        for v in rest:
-            if _sym_form(a, v):
-                b = v
-                break
+        b = next((v for v in rest if pauli.symplectic_product(a, v)), None)
         if b is None:
             raise AssertionError("normalizer quotient is not symplectic")
         new_rest = []
         for v in rest:
             if v is b:
                 continue
-            w = v.copy()
-            if _sym_form(w, b):
-                w ^= a
-            if _sym_form(w, a):
-                w ^= b
-            if not w.is_zero():
+            w = v
+            if pauli.symplectic_product(w, b):
+                w = _xor(w, a)
+            if pauli.symplectic_product(w, a):
+                w = _xor(w, b)
+            if pauli.weight(w):
                 new_rest.append(w)
-        pairs.append((word_from_symplectic(a), word_from_symplectic(b)))
+        pairs.append((a, b))
         vectors = new_rest
     return pairs
 
 
-def _sym_form(u: BitVector, v: BitVector) -> int:
-    n = u.len // 2
-    acc = 0
-    for q in range(n):
-        acc ^= u.get(q) & v.get(n + q)
-        acc ^= u.get(n + q) & v.get(q)
-    return acc
+def _xor(u: PauliWord, v: PauliWord) -> PauliWord:
+    """Phase-free word whose image is the sum of the images of u and v."""
+    return PauliWord(u.n, u.x_bits ^ v.x_bits, u.z_bits ^ v.z_bits, 0)
 
 
 def _is_css(code: StabilizerCode) -> bool:
@@ -269,8 +237,8 @@ def _css_logicals(code: StabilizerCode) -> list[tuple[PauliWord, PauliWord]] | N
     for i, r in enumerate(z_rows):
         hz.data[i] = r.data
     # pure-X logicals: commute with Z checks, not generated by X checks
-    x_cands = _quotient_basis(gf2.kernel_basis(hz), hx, n)
-    z_cands = _quotient_basis(gf2.kernel_basis(hx), hz, n)
+    x_cands = _quotient_basis(gf2.kernel_basis(hz), gf2.RowSpace(hx))
+    z_cands = _quotient_basis(gf2.kernel_basis(hx), gf2.RowSpace(hz))
     k = code.num_logical_qubits()
     if len(x_cands) != k or len(z_cands) != k:
         return None
@@ -296,20 +264,14 @@ def _dot(u: BitVector, v: BitVector) -> int:
     return int(np.bitwise_count(u.data & v.data).sum()) & 1
 
 
-def _quotient_basis(kernel: list[BitVector], checks: BitMatrix, n: int) -> list[BitVector]:
-    """Independent kernel vectors modulo the rowspace of `checks`."""
-    rs = gf2.RowSpace(checks)
-    reduced = []
-    for v in kernel:
-        r = gf2._reduce_against(rs.rref, rs.pivots, v)
-        if not r.is_zero():
-            reduced.append(r)
+def _quotient_basis(vectors: list[BitVector], rs: gf2.RowSpace) -> list[BitVector]:
+    """Independent vectors spanning span(vectors) modulo the rowspace `rs`:
+    reduce each against rs, drop the zeros, then row-reduce the rest."""
+    reduced = [gf2._reduce_against(rs.rref, rs.pivots, v) for v in vectors]
+    reduced = [r.data for r in reduced if not r.is_zero()]
     if not reduced:
         return []
-    m = BitMatrix(len(reduced), n)
-    for i, v in enumerate(reduced):
-        m.data[i] = v.data
-    rref, pivots = gf2.row_reduce(m)
+    rref, pivots = gf2.row_reduce(BitMatrix(len(reduced), rs.cols, np.stack(reduced)))
     return [rref.row(i) for i in range(len(pivots))]
 
 
@@ -321,15 +283,17 @@ def enumerate_words(n: int, min_weight: int, max_weight: int):
         if w == 0:
             yield PauliWord.identity(n)
             continue
+        # letter index 0, 1, 2 = X, Y, Z: x set for X and Y, z for Y and Z
+        letters = np.array(list(itertools.product(range(3), repeat=w)), dtype=np.int64)
+        x = np.zeros((len(letters), n), dtype=np.uint8)
+        z = np.zeros((len(letters), n), dtype=np.uint8)
         for qubits in itertools.combinations(range(n), w):
-            for letters in itertools.product("XYZ", repeat=w):
-                word = PauliWord.identity(n)
-                for q, ch in zip(qubits, letters):
-                    xb = 1 if ch in "XY" else 0
-                    zb = 1 if ch in "ZY" else 0
-                    word.x_bits.set(q, xb)
-                    word.z_bits.set(q, zb)
-                yield word
+            x[:, qubits] = letters <= 1
+            z[:, qubits] = letters >= 1
+            for xw, zw in zip(gf2._pack(x), gf2._pack(z)):
+                yield PauliWord(n, BitVector(n, xw), BitVector(n, zw), 0)
+            x[:, qubits] = 0
+            z[:, qubits] = 0
 
 
 def distance(code: StabilizerCode, max_search_weight: int = 4) -> int | None:
@@ -337,7 +301,7 @@ def distance(code: StabilizerCode, max_search_weight: int = 4) -> int | None:
     to `max_search_weight`; None when the search cap is exceeded."""
     rs = code.rowspace()
     for word in enumerate_words(code.n, 1, max_search_weight):
-        if any(pauli.symplectic_product(g, word) for g in code.generators):
+        if not syndrome(code, word).is_zero():
             continue
         if not rs.contains(word.symplectic()):
             return pauli.weight(word)
@@ -379,7 +343,7 @@ def residual_class(code: StabilizerCode, residual: PauliWord) -> Residual:
     lies in the parity-check rowspace, else Logical. Phase is ignored."""
     if residual.n != code.n:
         raise ValueError("residual size mismatch")
-    if any(pauli.symplectic_product(g, residual) for g in code.generators):
+    if not syndrome(code, residual).is_zero():
         return Residual.DETECTABLE
     if code.rowspace().contains(residual.symplectic()):
         return Residual.STABILIZER

@@ -15,6 +15,8 @@ from .pauli import PauliWord
 from .stabilizer import Syndrome
 
 MAX_QUBITS = 20
+# largest register ProjectorEncoder builds (a dense 2^n projection)
+PROJECTOR_ENCODER_MAX_QUBITS = 14
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -46,8 +48,8 @@ def pauli_word_matrix(word: PauliWord) -> np.ndarray:
     if word.n > 12:
         raise ValueError("dense Pauli matrix limited to 12 qubits")
     m = np.array([[1]], dtype=complex)
-    for q in range(word.n):
-        m = np.kron(m, GATE_MATRICES[word.letter(q).lower()])
+    for letter in word.letters():
+        m = np.kron(m, GATE_MATRICES[letter.lower()])
     return (1j ** word.phase) * m
 
 
@@ -229,8 +231,7 @@ def _slab(view: np.ndarray, n: int, **axis_values: int):
 def _apply_pauli_slab(sub: np.ndarray, word: PauliWord, axes: list[int]) -> np.ndarray:
     """Apply a PauliWord to an ndarray view; axes[q] is the array axis of qubit q."""
     out = sub
-    for q in range(word.n):
-        letter = word.letter(q)
+    for q, letter in enumerate(word.letters()):
         if letter == "I":
             continue
         ax = axes[q]
@@ -491,8 +492,10 @@ class ProjectorEncoder:
     logical_x: tuple[PauliWord, ...]
 
     def logical_basis(self) -> list[StateVector]:
-        if self.n > 14:
-            raise ValueError("projector encoder limited to 14 physical qubits")
+        if self.n > PROJECTOR_ENCODER_MAX_QUBITS:
+            raise ValueError(
+                f"projector encoder limited to {PROJECTOR_ENCODER_MAX_QUBITS} physical qubits"
+            )
         base = np.zeros(1 << self.n, dtype=complex)
         base[0] = 1.0
         view_axes = list(range(self.n))

@@ -131,6 +131,18 @@ def test_large_lattice_has_no_encoder():
     assert catalog.make_toric(2, 2).encoder is not None
 
 
+@pytest.mark.parametrize("rows, cols, n_qubits", [(1, 5, 14), (1, 6, 17)])
+def test_projector_encoder_limit(rows, cols, n_qubits):
+    # 14 and 17 qubits: the largest planar code with a projector encoder
+    # and the smallest without one
+    bundle = catalog.make_planar(rows, cols)
+    assert bundle.code.n == n_qubits
+    if n_qubits <= sv.PROJECTOR_ENCODER_MAX_QUBITS:
+        assert isinstance(bundle.encoder, sv.ProjectorEncoder)
+    else:
+        assert bundle.encoder is None
+
+
 def test_by_name_errors():
     with pytest.raises(KeyError):
         catalog.by_name("steane")

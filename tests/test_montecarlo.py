@@ -142,11 +142,15 @@ def test_seed_determinism_across_workers():
     assert repeat == runs[0]
 
 
-def test_stream_runner_matches_scalar_trials():
-    bundle = catalog.make_five_qubit()
+# fewer than, exactly and more than 64 generators (4, 64, 64 and 70)
+@pytest.mark.parametrize("name", ["five-qubit", "toric:3x11", "planar:1x22", "toric:6x6"])
+def test_stream_runner_matches_scalar_trials(name):
+    bundle = catalog.by_name(name)
     table = stab.build_syndrome_table(bundle.code, 1)
     arrays = mc._CodeArrays(bundle.code, table)
-    for model in (Depolarizing(0.08), BitFlip(0.1), IndependentXZ(0.1, 0.2, qubits=(0, 2))):
+    models = (Depolarizing(0.08), Depolarizing(0.02), BitFlip(0.1),
+              IndependentXZ(0.1, 0.2, qubits=(0, 2)))
+    for model in models:
         rng = np.random.default_rng([99, 0])
         outcomes = [mc.run_trial(bundle.code, table, model, rng) for _ in range(600)]
         scalar = (

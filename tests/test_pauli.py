@@ -5,11 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabkit import pauli
+from stabkit import catalog, pauli, stabilizer as stab
 from stabkit.pauli import PauliWord
 from stabkit.statevec import pauli_word_matrix
 
 LETTERS = "IXYZ"
+XZ_OF_LETTER = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+LETTER_OF_XZ = {v: k for k, v in XZ_OF_LETTER.items()}
+
+# Reference for the product phase: exponent of i picked up by a
+# single-qubit product a*b. Cyclic products XY, YZ, ZX give +i, the
+# reversed ones -i (exponent 3), matching XZ = -iY.
+PHASE_TABLE = {
+    (a, b): 0 if "I" in (a, b) or a == b else 1 if a + b in ("XY", "YZ", "ZX") else 3
+    for a in LETTERS
+    for b in LETTERS
+}
+
+
+def per_qubit_multiply(a, b):
+    """a*b one qubit at a time: letters from the (x, z) sums, phase from the table."""
+    phase = a.phase + b.phase
+    letters = []
+    for la, lb in zip(a.letters(), b.letters()):
+        phase += PHASE_TABLE[la, lb]
+        (xa, za), (xb, zb) = XZ_OF_LETTER[la], XZ_OF_LETTER[lb]
+        letters.append(LETTER_OF_XZ[xa ^ xb, za ^ zb])
+    return PauliWord.from_letters("".join(letters), phase % 4)
 
 
 def random_word(rng, n):
@@ -176,3 +198,33 @@ def test_weight_subadditive(n, seed):
     rng = np.random.default_rng(seed)
     a, b = random_word(rng, n), random_word(rng, n)
     assert pauli.weight(pauli.multiply(a, b)) <= pauli.weight(a) + pauli.weight(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**31 - 1))
+def test_multiply_matches_per_qubit_product(n, seed):
+    # n up to 130 crosses the 64-bit word boundaries
+    rng = np.random.default_rng(seed)
+    a, b = random_word(rng, n), random_word(rng, n)
+    assert pauli.multiply(a, b) == per_qubit_multiply(a, b)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_symplectic_roundtrip_across_word_boundary(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        w = random_word(rng, n)
+        w.phase = 0
+        image = w.symplectic()
+        assert image.to_bits() == w.x_bits.to_bits() + w.z_bits.to_bits()
+        assert stab.word_from_symplectic(image) == w
+
+
+def test_syndrome_matches_generator_products_on_wide_lattice():
+    code = catalog.by_name("toric:6x6").code  # 72 qubits, 70 generators
+    rng = np.random.default_rng(11)
+    words = [PauliWord.single(code.n, q, ch) for q in (0, 63, 64, 71) for ch in "XYZ"]
+    words += [random_word(rng, code.n) for _ in range(30)]
+    for w in words:
+        expected = tuple(pauli.symplectic_product(g, w) for g in code.generators)
+        assert stab.syndrome(code, w).bits == expected

@@ -185,6 +185,12 @@ def test_encode_requires_encoder():
         sv.encode(bundle, StateVector(2))
 
 
+def test_projector_encoder_rejects_oversized_register():
+    enc = sv.ProjectorEncoder(n=sv.PROJECTOR_ENCODER_MAX_QUBITS + 1, generators=(), logical_x=())
+    with pytest.raises(ValueError, match="projector encoder limited"):
+        enc.logical_basis()
+
+
 def test_hadamard_test_syndrome_five_qubit():
     bundle = catalog.make_five_qubit()
     enc = sv.encode(bundle, StateVector(1))
