@@ -126,7 +126,8 @@ def _cmd_simulate(args) -> int:
     elif not args.csv:
         print(
             f"{bundle.name} {args.noise} p={args.p}: logical rate "
-            f"{stats.estimate:.6f} +- {stats.stderr:.6f} ({stats.shots} shots, seed {stats.seed})"
+            f"{stats.estimate:.6f} +- {stats.stderr:.6f} ({stats.shots} shots, "
+            f"{stats.count_unmatched} unmatched, seed {stats.seed})"
         )
     return 0
 

@@ -250,15 +250,7 @@ def rank(m: BitMatrix) -> int:
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of {v : M v = 0 over GF(2)}; size is cols - rank(M)."""
-    rref, pivots = row_reduce(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    # one basis vector per free column: a 1 there, and on each pivot column
-    # the entry of the pivot's RREF row in that free column
-    basis = np.zeros((len(free_cols), m.cols), dtype=np.uint8)
-    basis[np.arange(len(free_cols)), free_cols] = 1
-    basis[:, pivots] = _unpack(rref.data[: len(pivots)], m.cols)[:, free_cols].T
-    return [BitVector(m.cols, row) for row in _pack(basis)]
+    return [BitVector(m.cols, row) for row in _pack(RowSpace(m).kernel_bits())]
 
 
 def in_rowspace(m: BitMatrix, v: BitVector) -> bool:
@@ -285,6 +277,16 @@ class RowSpace:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def kernel_bits(self) -> np.ndarray:
+        """0/1 rows spanning {v : M v = 0}, one per free column: a 1 there and
+        the pivot rows' entries in that column. As the RREF is fully reduced,
+        r is in the rowspace iff r is orthogonal to every row."""
+        free = np.setdiff1d(np.arange(self.cols), self.pivots)
+        basis = np.zeros((len(free), self.cols), dtype=np.uint8)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, self.pivots] = _unpack(self.rref.data[: self.rank], self.cols)[:, free].T
+        return basis
 
     def contains(self, v: BitVector) -> bool:
         if v.len != self.cols:

@@ -74,14 +74,14 @@ def dual_complex(c: CellComplex) -> CellComplex:
     for f, face in enumerate(c.faces):
         for e in face:
             edge_faces[e].append(f)
-    dual_faces = []
-    for v in range(c.n_vertices):
-        incident = [j for j, ends in enumerate(c.edges) if v in ends]
-        dual_faces.append(tuple(incident))
+    vertex_edges: list[list[int]] = [[] for _ in range(c.n_vertices)]
+    for j, ends in enumerate(c.edges):
+        for v in set(ends):
+            vertex_edges[v].append(j)
     return CellComplex(
         n_vertices=len(c.faces),
         edges=tuple(tuple(fs) for fs in edge_faces),
-        faces=tuple(dual_faces),
+        faces=tuple(tuple(es) for es in vertex_edges),
     )
 
 

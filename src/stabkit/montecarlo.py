@@ -66,14 +66,13 @@ def _validate_model(model: NoiseModel) -> None:
 
 
 def _coin_mask(model: IndependentXZ, n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
     if model.qubits is None:
-        mask[:] = True
-    else:
-        for q in model.qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"designated qubit {q} out of range")
-            mask[q] = True
+        return np.ones(n, dtype=bool)
+    for q in model.qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"designated qubit {q} out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[list(model.qubits)] = True
     return mask
 
 
@@ -124,7 +123,7 @@ def decode_outcome(
     """Look up the correction for the error's syndrome and classify the
     residual: Stabilizer residual means success, anything else is a logical
     error; an absent syndrome is reported as unmatched."""
-    from .stabilizer import Residual, residual_class, syndrome
+    from .stabilizer import Residual, _xor, residual_class, syndrome
 
     s = syndrome(code, error)
     if s.is_zero():
@@ -133,13 +132,7 @@ def decode_outcome(
         correction = table.correction(s)
         if correction is None:
             return TrialOutcome.UNMATCHED_SYNDROME
-    residual = PauliWord(
-        code.n,
-        correction.x_bits ^ error.x_bits,
-        correction.z_bits ^ error.z_bits,
-        0,
-    )
-    if residual_class(code, residual) is Residual.STABILIZER:
+    if residual_class(code, _xor(correction, error)) is Residual.STABILIZER:
         return TrialOutcome.SUCCESS
     return TrialOutcome.LOGICAL_ERROR
 
@@ -170,35 +163,53 @@ class MCStats:
     stream_size: int = DEFAULT_STREAM_SIZE
 
 
+# float32 holds every integer up to 2**24 exactly, so an image entry (a sum
+# of at most 2n products of bits) is exact while 2n stays below this
+_FLOAT32_EXACT = 1 << 24
+
+
 class _CodeArrays:
-    """Dense uint8 views of the code and table used by the stream runner."""
+    """One GF(2) linear map of the code, and the table's keys under it.
+
+    `map` sends an error's (x|z) bits to its image (syndrome | residual
+    key). The first l columns are the parity check with halves swapped, so
+    column g flags the error bits that anticommute with generator g. The
+    rest are the parity check's kernel basis, under which a residual r is a
+    stabilizer iff its image is 0. By linearity, e ^ c is a stabilizer iff
+    e and c have the same image.
+    """
 
     def __init__(self, code: StabilizerCode, table: SyndromeTable):
         n, l = code.n, code.num_generators
+        if 2 * n >= _FLOAT32_EXACT:
+            raise ValueError(f"{n} qubits: the float32 kernel needs 2n < {_FLOAT32_EXACT}")
         self.n, self.l = n, l
-        # int64 so the uint8 error matrices promote in the syndrome matmul
-        # (a uint8 accumulator would overflow past 255 qubits)
-        checks = gf2._unpack(code.parity_check.data, 2 * n).astype(np.int64)
-        self.gx = np.ascontiguousarray(checks[:, :n])
-        self.gz = np.ascontiguousarray(checks[:, n:])
+        swapped = gf2._unpack(gf2._concat(code.check_z, code.check_x, n), 2 * n)
+        kernel = code.rowspace().kernel_bits()
+        self.map = np.concatenate([swapped, kernel]).T.astype(np.float32)
         # the zero syndrome always takes the identity, as in decode_outcome
         entries = {**table.entries, Syndrome((0,) * l): PauliWord.identity(n)}
-        keys = _syndrome_keys(np.array([s.bits for s in entries], dtype=np.uint8))
+        keys = _row_keys(np.array([s.bits for s in entries], dtype=np.uint8))
         order = np.argsort(keys)
         self.keys = keys[order]
         words = list(entries.values())
-        self.corr_x = gf2._unpack(np.stack([w.x_bits.data for w in words])[order], n)
-        self.corr_z = gf2._unpack(np.stack([w.z_bits.data for w in words])[order], n)
-        rs = code.rowspace()
-        self.rref_rows = gf2._unpack(rs.rref.data[: rs.rank], 2 * n)
-        self.rref_pivots = list(rs.pivots)
+        x = gf2._unpack(np.stack([w.x_bits.data for w in words]), n)
+        z = gf2._unpack(np.stack([w.z_bits.data for w in words]), n)
+        self.image_keys = self.images(np.concatenate([x, z], axis=1)[order])[1]
+
+    def images(self, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys of the syndromes and of the whole images of 0/1 (x|z) error
+        rows: one float32 product, reduced mod 2."""
+        img = (errors.astype(np.float32, copy=False) @ self.map).astype(np.int32)
+        img = np.bitwise_and(img, 1, dtype=np.uint8, casting="unsafe")
+        return _row_keys(img[:, : self.l]), _row_keys(img)
 
 
-def _syndrome_keys(syn: np.ndarray) -> np.ndarray:
-    """One fixed-width byte string per 0/1 syndrome row, equal iff the rows
-    are, for any number of generators. All keys share one width, so the
-    bytes dtype's disregard of trailing NULs cannot merge two of them."""
-    packed = np.packbits(syn.astype(np.uint8), axis=1)
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per 0/1 row, equal iff the rows are, for
+    any nonzero row length. All keys share one width, so the bytes dtype's
+    disregard of trailing NULs cannot merge two of them."""
+    packed = np.packbits(rows, axis=1)
     return np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
 
 
@@ -208,26 +219,12 @@ def _run_stream(
     """(success, logical, unmatched) counts for one derived stream."""
     rng = np.random.default_rng(list(seed_pair))
     n = arrays.n
-    u = rng.random((size,) + _uniform_shape(model, n))
-    ex, ez = _sample_bits(model, n, u)
-    ex = ex.astype(np.uint8)
-    ez = ez.astype(np.uint8)
-    syn = ((ex @ arrays.gz.T) + (ez @ arrays.gx.T)) & 1
-    keys = _syndrome_keys(syn)
+    bits = _sample_bits(model, n, rng.random((size,) + _uniform_shape(model, n)))
+    keys, image_keys = arrays.images(np.concatenate(bits, axis=1, dtype=np.float32))
     idx = np.minimum(np.searchsorted(arrays.keys, keys), len(arrays.keys) - 1)
-    unmatched = arrays.keys[idx] != keys
-    rx = ex ^ arrays.corr_x[idx]
-    rz = ez ^ arrays.corr_z[idx]
-    resid = np.concatenate([rx, rz], axis=1)
-    for row, pivot in zip(arrays.rref_rows, arrays.rref_pivots):
-        mask = resid[:, pivot] == 1
-        if mask.any():
-            resid[mask] ^= row
-    in_stab = ~resid.any(axis=1)
-    n_unmatched = int(unmatched.sum())
-    n_success = int((in_stab & ~unmatched).sum())
-    n_logical = size - n_success
-    return n_success, n_logical, n_unmatched
+    matched = arrays.keys[idx] == keys
+    n_success = int((matched & (arrays.image_keys[idx] == image_keys)).sum())
+    return n_success, size - n_success, size - int(matched.sum())
 
 
 def logical_error_rate(
@@ -241,27 +238,22 @@ def logical_error_rate(
 ) -> MCStats:
     """Estimate the logical error rate with `shots` decode-and-correct
     trials; deterministic for a given seed regardless of worker count."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if shots < 1 or stream_size < 1:
+        raise ValueError("shots and stream_size must be >= 1")
     _validate_model(model)
     if table is None:
         table = build_syndrome_table(code, 1)
     arrays = _CodeArrays(code, table)
-    sizes = []
-    left = shots
-    while left > 0:
-        take = min(stream_size, left)
-        sizes.append(take)
-        left -= take
-    jobs = [(arrays, model, size, (seed, i)) for i, size in enumerate(sizes)]
+    jobs = [
+        (arrays, model, min(stream_size, shots - start), (seed, i))
+        for i, start in enumerate(range(0, shots, stream_size))
+    ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda j: _run_stream(*j), jobs))
     else:
         results = [_run_stream(*j) for j in jobs]
-    success = sum(r[0] for r in results)
-    logical = sum(r[1] for r in results)
-    unmatched = sum(r[2] for r in results)
+    success, logical, unmatched = (sum(counts) for counts in zip(*results))
     rate = logical / shots
     stderr = math.sqrt(rate * (1.0 - rate) / shots)
     return MCStats(

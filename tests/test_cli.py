@@ -101,6 +101,16 @@ def test_simulate_deterministic_output(capsys):
     assert doc["count_success"] + doc["count_logical"] == 5000
 
 
+def test_simulate_text_reports_unmatched(capsys):
+    argv = ["simulate", "--code", "planar:1x2", "--noise", "depolarizing",
+            "--p", "0.3", "--shots", "2000", "--seed", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    _, doc, _ = run_cli(capsys, *argv, "--json")
+    unmatched = json.loads(doc)["count_unmatched"]
+    assert code == 0 and unmatched > 0
+    assert f"(2000 shots, {unmatched} unmatched, seed 5)" in out
+
+
 def test_simulate_csv(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

@@ -112,6 +112,14 @@ def test_faces_closed_walks():
         assert cx.violations() == []
 
 
+@pytest.mark.parametrize("cx", [DISK, TORUS, build_toric(3, 4).complex, build_planar(2, 3).complex])
+def test_dual_faces_list_incident_edges_once_in_edge_order(cx):
+    expected = tuple(
+        tuple(j for j, ends in enumerate(cx.edges) if v in ends) for v in range(cx.n_vertices)
+    )
+    assert dual_complex(cx).faces == expected
+
+
 @pytest.mark.parametrize("build,args", [(build_toric, (2, 3)), (build_planar, (2, 3))])
 def test_dual_of_dual_restores_incidence(build, args):
     lat = build(*args)

@@ -142,23 +142,55 @@ def test_seed_determinism_across_workers():
     assert repeat == runs[0]
 
 
-# fewer than, exactly and more than 64 generators (4, 64, 64 and 70)
-@pytest.mark.parametrize("name", ["five-qubit", "toric:3x11", "planar:1x22", "toric:6x6"])
-def test_stream_runner_matches_scalar_trials(name):
-    bundle = catalog.by_name(name)
-    table = stab.build_syndrome_table(bundle.code, 1)
-    arrays = mc._CodeArrays(bundle.code, table)
-    models = (Depolarizing(0.08), Depolarizing(0.02), BitFlip(0.1),
-              IndependentXZ(0.1, 0.2, qubits=(0, 2)))
+# fewer than, exactly and more than 64 generators (4, 64, 64 and 70); weight-2
+# tables, whose corrections differ from some errors by a nontrivial
+# stabilizer; and a k = 0 code, where every matched shot is a success
+@pytest.mark.parametrize("name,max_weight", [
+    pytest.param("five-qubit", 1, id="five-qubit"),
+    pytest.param("toric:3x11", 1, id="toric:3x11"),
+    pytest.param("planar:1x22", 1, id="planar:1x22"),
+    pytest.param("toric:6x6", 1, id="toric:6x6"),
+    pytest.param("shor", 2, id="shor-w2"),
+    pytest.param("toric:3x3", 2, id="toric:3x3-w2"),
+    pytest.param("bell", 1, id="bell"),
+])
+def test_stream_runner_matches_scalar_trials(name, max_weight):
+    if name == "bell":
+        code = stab.StabilizerCode.from_strings("bell", ["XX", "ZZ"])
+    else:
+        code = catalog.by_name(name).code
+    table = stab.build_syndrome_table(code, max_weight)
+    arrays = mc._CodeArrays(code, table)
+    models = (Depolarizing(0.08), Depolarizing(0.02), BitFlip(0.1), PhaseFlip(0.1),
+              IndependentXZ(0.1, 0.2, qubits=(0, min(2, code.n - 1))))
     for model in models:
         rng = np.random.default_rng([99, 0])
-        outcomes = [mc.run_trial(bundle.code, table, model, rng) for _ in range(600)]
+        outcomes = [mc.run_trial(code, table, model, rng) for _ in range(600)]
         scalar = (
             sum(o is TrialOutcome.SUCCESS for o in outcomes),
             sum(o is not TrialOutcome.SUCCESS for o in outcomes),
             sum(o is TrialOutcome.UNMATCHED_SYNDROME for o in outcomes),
         )
         assert mc._run_stream(arrays, model, 600, (99, 0)) == scalar
+
+
+def test_float32_kernel_refuses_codes_past_its_exact_range(monkeypatch):
+    bundle = catalog.make_five_qubit()  # 2n = 10
+    table = stab.build_syndrome_table(bundle.code, 1)
+    monkeypatch.setattr(mc, "_FLOAT32_EXACT", 10)
+    with pytest.raises(ValueError, match="float32"):
+        mc._CodeArrays(bundle.code, table)
+    with pytest.raises(ValueError, match="float32"):
+        mc.logical_error_rate(bundle.code, BitFlip(0.1), 100, seed=1, table=table)
+    monkeypatch.setattr(mc, "_FLOAT32_EXACT", 11)
+    assert mc.logical_error_rate(bundle.code, BitFlip(0.1), 100, seed=1, table=table).shots == 100
+
+
+@pytest.mark.parametrize("shots,stream_size", [(0, 8192), (100, 0), (100, -5)])
+def test_rejects_empty_runs_and_streams(shots, stream_size):
+    bundle = catalog.make_five_qubit()
+    with pytest.raises(ValueError, match="must be >= 1"):
+        mc.logical_error_rate(bundle.code, BitFlip(0.1), shots, seed=1, stream_size=stream_size)
 
 
 def test_five_qubit_weight1_table_never_unmatched():

@@ -63,6 +63,18 @@ def test_validate_anticommuting_pair():
     assert any("pair (0,1) anticommutes" in v for v in violations)
 
 
+def test_validate_reports_anticommuting_pairs_in_pair_order():
+    code = StabilizerCode.from_strings("bad", ["XIZ", "ZXI", "IZX", "YYI", "ZZZ"])
+    gens = code.generators
+    expected = [
+        f"pair ({i},{j}) anticommutes"
+        for i, j in itertools.combinations(range(len(gens)), 2)
+        if not pauli.commutes(gens[i], gens[j])
+    ]
+    assert len(expected) >= 3
+    assert [v for v in stab.validate(code) if v.startswith("pair")] == expected
+
+
 def test_validate_dependent_rows():
     code = StabilizerCode.from_strings("dup", ["XX", "XX"])
     violations = stab.validate(code)
