@@ -129,9 +129,7 @@ def _lattice_bundle(lat: lattice_mod.Lattice, name: str, d: int) -> CodeBundle:
         )
     else:
         encoder = None
-    n = code.n
-    k = code.num_logical_qubits()
-    return CodeBundle(code, encoder, logical, (n, k, d), Fraction(k, n))
+    return _bundle(code, encoder, logical.pairs, d)
 
 
 def make_toric(m: int, n: int) -> CodeBundle:

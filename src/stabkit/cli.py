@@ -69,21 +69,17 @@ def _cmd_codes(args) -> int:
 def _cmd_decode_table(args) -> int:
     bundle = catalog.by_name(args.name)
     table = stabilizer.build_syndrome_table(bundle.code, args.max_weight)
-    rows = sorted(table.entries.items(), key=lambda kv: kv[0].bits)
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "code": bundle.name,
             "max_weight": args.max_weight,
-            "table": [
-                {"syndrome": str(s), "correction": pauli.format_word(w)}
-                for s, w in rows
-            ],
+            "table": stabilizer.export_code(bundle.code, table=table)["table"],
         }
         print(json.dumps(doc, indent=2))
     else:
         print(f"{'syndrome':>10}  correction")
-        for s, w in rows:
+        for s, w in sorted(table.entries.items(), key=lambda kv: kv[0].bits):
             print(f"{str(s):>10}  {pauli.format_product(w)}")
     return 0
 

@@ -259,12 +259,13 @@ def in_rowspace(m: BitMatrix, v: BitVector) -> bool:
 
 
 def _reduce_against(rref: BitMatrix, pivots: list[int], v: BitVector) -> BitVector:
-    """Reduce v against rows of an RREF matrix; zero result means membership."""
-    r = v.copy()
-    for prow, pcol in enumerate(pivots):
-        if r.get(pcol):
-            r.data ^= rref.data[prow]
-    return r
+    """Reduce v against the rows of an RREF matrix; zero result means
+    membership. The RREF must be fully reduced, as row_reduce returns it:
+    row i is then the only row with a 1 in column pivots[i], so v's
+    coefficient on row i is v's bit there, and one masked XOR-reduce of
+    those rows does the whole reduction."""
+    hits = _unpack(v.data, v.len)[np.asarray(pivots, dtype=np.intp)].astype(bool)
+    return BitVector(v.len, v.data ^ np.bitwise_xor.reduce(rref.data[: len(pivots)][hits], axis=0))
 
 
 class RowSpace:

@@ -20,7 +20,7 @@ import numpy as np
 from . import gf2
 from .gf2 import BitVector
 from .pauli import PauliWord
-from .stabilizer import StabilizerCode, Syndrome, SyndromeTable, build_syndrome_table
+from .stabilizer import StabilizerCode, Syndrome, SyndromeTable, _row_keys, build_syndrome_table
 
 RNG_NAME = "pcg64-seedseq(seed,stream)"
 DEFAULT_STREAM_SIZE = 8192
@@ -163,54 +163,26 @@ class MCStats:
     stream_size: int = DEFAULT_STREAM_SIZE
 
 
-# float32 holds every integer up to 2**24 exactly, so an image entry (a sum
-# of at most 2n products of bits) is exact while 2n stays below this
-_FLOAT32_EXACT = 1 << 24
-
-
 class _CodeArrays:
-    """One GF(2) linear map of the code, and the table's keys under it.
-
-    `map` sends an error's (x|z) bits to its image (syndrome | residual
-    key). The first l columns are the parity check with halves swapped, so
-    column g flags the error bits that anticommute with generator g. The
-    rest are the parity check's kernel basis, under which a residual r is a
-    stabilizer iff its image is 0. By linearity, e ^ c is a stabilizer iff
-    e and c have the same image.
-    """
+    """The table's keys under the code's GF(2) map (`StabilizerCode.images`):
+    the sorted syndrome keys, and each entry's image key."""
 
     def __init__(self, code: StabilizerCode, table: SyndromeTable):
-        n, l = code.n, code.num_generators
-        if 2 * n >= _FLOAT32_EXACT:
-            raise ValueError(f"{n} qubits: the float32 kernel needs 2n < {_FLOAT32_EXACT}")
-        self.n, self.l = n, l
-        swapped = gf2._unpack(gf2._concat(code.check_z, code.check_x, n), 2 * n)
-        kernel = code.rowspace().kernel_bits()
-        self.map = np.concatenate([swapped, kernel]).T.astype(np.float32)
+        self.code, self.n, self.l = code, code.n, code.num_generators
         # the zero syndrome always takes the identity, as in decode_outcome
-        entries = {**table.entries, Syndrome((0,) * l): PauliWord.identity(n)}
+        entries = {**table.entries, Syndrome((0,) * self.l): PauliWord.identity(self.n)}
         keys = _row_keys(np.array([s.bits for s in entries], dtype=np.uint8))
         order = np.argsort(keys)
         self.keys = keys[order]
         words = list(entries.values())
-        x = gf2._unpack(np.stack([w.x_bits.data for w in words]), n)
-        z = gf2._unpack(np.stack([w.z_bits.data for w in words]), n)
-        self.image_keys = self.images(np.concatenate([x, z], axis=1)[order])[1]
+        x = gf2._unpack(np.stack([w.x_bits.data for w in words]), self.n)
+        z = gf2._unpack(np.stack([w.z_bits.data for w in words]), self.n)
+        self.image_keys = self.keys_of(np.concatenate([x, z], axis=1)[order])[1]
 
-    def images(self, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys of the syndromes and of the whole images of 0/1 (x|z) error
-        rows: one float32 product, reduced mod 2."""
-        img = (errors.astype(np.float32, copy=False) @ self.map).astype(np.int32)
-        img = np.bitwise_and(img, 1, dtype=np.uint8, casting="unsafe")
-        return _row_keys(img[:, : self.l]), _row_keys(img)
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte string per 0/1 row, equal iff the rows are, for
-    any nonzero row length. All keys share one width, so the bytes dtype's
-    disregard of trailing NULs cannot merge two of them."""
-    packed = np.packbits(rows, axis=1)
-    return np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
+    def keys_of(self, xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys of the syndromes and of the whole images of 0/1 (x|z) rows."""
+        images = self.code.images(xz)
+        return _row_keys(images[:, : self.l]), _row_keys(images)
 
 
 def _run_stream(
@@ -220,7 +192,7 @@ def _run_stream(
     rng = np.random.default_rng(list(seed_pair))
     n = arrays.n
     bits = _sample_bits(model, n, rng.random((size,) + _uniform_shape(model, n)))
-    keys, image_keys = arrays.images(np.concatenate(bits, axis=1, dtype=np.float32))
+    keys, image_keys = arrays.keys_of(np.concatenate(bits, axis=1, dtype=np.float32))
     idx = np.minimum(np.searchsorted(arrays.keys, keys), len(arrays.keys) - 1)
     matched = arrays.keys[idx] == keys
     n_success = int((matched & (arrays.image_keys[idx] == image_keys)).sum())
@@ -271,23 +243,31 @@ def logical_error_rate(
 MAX_ANALYTIC_COINS = 8
 
 
+def _noise_coins(model: NoiseModel, qubits, n: int | None = None) -> list[tuple[str, int, float]]:
+    """(letter, qubit, probability) per binary coin on `qubits`, X coins
+    first. Rejects negative or repeated qubits, and qubits >= n when n is
+    given."""
+    qubits = list(qubits)
+    for q in qubits:
+        if q < 0 or (n is not None and q >= n):
+            raise ValueError(f"designated qubit {q} out of range")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"designated qubits {qubits} repeat")
+    if isinstance(model, BitFlip):
+        return [("X", q, model.p) for q in qubits]
+    if isinstance(model, PhaseFlip):
+        return [("Z", q, model.p) for q in qubits]
+    if isinstance(model, IndependentXZ):
+        return [("X", q, model.p_x) for q in qubits] + [("Z", q, model.p_z) for q in qubits]
+    raise ValueError(f"per-qubit coins need BitFlip, PhaseFlip or IndependentXZ, not {model!r}")
+
+
 def error_distribution_analytic(model: NoiseModel, qubits) -> dict[str, float]:
     """Exact product-of-Bernoullis probability for every coin pattern on a
     small designated qubit subset. Keys are 1-based product labels like
     "X1Z3" ("I" for the empty pattern)."""
     _validate_model(model)
-    qubits = list(qubits)
-    if isinstance(model, BitFlip):
-        coins = [("X", q, model.p) for q in qubits]
-    elif isinstance(model, PhaseFlip):
-        coins = [("Z", q, model.p) for q in qubits]
-    elif isinstance(model, IndependentXZ):
-        coins = [("X", q, model.p_x) for q in qubits] + [
-            ("Z", q, model.p_z) for q in qubits
-        ]
-    else:
-        raise ValueError("per-pattern Bernoulli analysis needs binary coins "
-                         "(BitFlip, PhaseFlip, or IndependentXZ)")
+    coins = _noise_coins(model, qubits)
     if len(coins) > MAX_ANALYTIC_COINS:
         raise ValueError(f"subset too large ({len(coins)} coins > {MAX_ANALYTIC_COINS})")
     out: dict[str, float] = {}

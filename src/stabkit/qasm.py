@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import pauli
-from .montecarlo import BitFlip, IndependentXZ, NoiseModel, PhaseFlip
+from .montecarlo import IndependentXZ, NoiseModel, _noise_coins
 from .stabilizer import build_syndrome_table
 from .statevec import Circuit, Op
 
@@ -144,20 +144,6 @@ def emit(
     return QasmProgram("\n".join(lines) + "\n", qubit_registers, classical_registers)
 
 
-def _noise_coins(model: NoiseModel, n: int) -> list[tuple[str, int, float]]:
-    """(letter, data qubit, probability) per stochastic coin, X coins first."""
-    if isinstance(model, BitFlip):
-        return [("X", q, model.p) for q in range(n)]
-    if isinstance(model, PhaseFlip):
-        return [("Z", q, model.p) for q in range(n)]
-    if isinstance(model, IndependentXZ):
-        qubits = model.qubits if model.qubits is not None else tuple(range(n))
-        return [("X", q, model.p_x) for q in qubits] + [
-            ("Z", q, model.p_z) for q in qubits
-        ]
-    raise ValueError(f"demo emission supports BitFlip/PhaseFlip/IndependentXZ, not {model!r}")
-
-
 def build_code_demo(bundle, model: NoiseModel, p: float | None = None,
                     table_weight: int = 1) -> tuple[Circuit, tuple[Register, ...], tuple[Register, ...]]:
     """Assemble the demo circuit: encoder, per-coin stochastic noise
@@ -177,7 +163,10 @@ def build_code_demo(bundle, model: NoiseModel, p: float | None = None,
         else:
             model = type(model)(p)
     n = code.n
-    coins = _noise_coins(model, n)
+    qubits = range(n)
+    if isinstance(model, IndependentXZ) and model.qubits is not None:
+        qubits = model.qubits
+    coins = _noise_coins(model, qubits, n)
     n_coins = len(coins)
     l = code.num_generators
     qregs = (

@@ -79,6 +79,11 @@ class LogicalOperators:
         return out
 
 
+# float32 holds every integer up to 2**24 exactly, so an image entry (a sum
+# of at most 2n products of bits) is exact while 2n stays below this
+_FLOAT32_EXACT = 1 << 24
+
+
 class StabilizerCode:
     """n physical qubits with an ordered, independent, commuting generator
     list; the parity check matrix is the (X|Z) image of the generators, and
@@ -98,6 +103,7 @@ class StabilizerCode:
         )
         self.check_x, self.check_z = gf2._split(self.parity_check.data, n)
         self._rowspace: gf2.RowSpace | None = None
+        self._map: np.ndarray | None = None
 
     @classmethod
     def from_strings(cls, name: str, strings: list[str]) -> "StabilizerCode":
@@ -117,6 +123,25 @@ class StabilizerCode:
             self._rowspace = gf2.RowSpace(self.parity_check)
         return self._rowspace
 
+    def images(self, xz: np.ndarray) -> np.ndarray:
+        """0/1 rows (syndrome | residual key) of 0/1 (x|z) rows, by one
+        float32 product with the code's GF(2) map, reduced mod 2.
+
+        The map's first l columns are the parity check with halves swapped,
+        so column g flags the bits that anticommute with generator g. The
+        rest are the parity check's kernel basis, under which a residual r
+        is a stabilizer iff its key is 0. By linearity, e ^ c is a
+        stabilizer iff e and c have the same image.
+        """
+        if 2 * self.n >= _FLOAT32_EXACT:
+            raise ValueError(f"{self.n} qubits: the float32 map needs 2n < {_FLOAT32_EXACT}")
+        if self._map is None:
+            swapped = gf2._unpack(gf2._concat(self.check_z, self.check_x, self.n), 2 * self.n)
+            kernel = self.rowspace().kernel_bits()
+            self._map = np.concatenate([swapped, kernel]).T.astype(np.float32)
+        img = (xz.astype(np.float32, copy=False) @ self._map).astype(np.int32)
+        return np.bitwise_and(img, 1, dtype=np.uint8, casting="unsafe")
+
     def generator_strings(self) -> list[str]:
         return [pauli.format_word(g) for g in self.generators]
 
@@ -127,13 +152,10 @@ class StabilizerCode:
 def validate(code: StabilizerCode) -> list[str]:
     """Empty list iff the code satisfies all structural invariants."""
     gens = code.generators
-    # Gram matrix of symplectic products, rows (x|z) against rows (z|x);
-    # float64 BLAS keeps it exact for 2n < 2**53 at l x 2n memory
-    n = code.n
-    checks = gf2._unpack(code.parity_check.data, 2 * n).astype(np.float64)
-    gram = (checks @ np.roll(checks, n, axis=1).T).astype(np.int64) & 1
-    violations = [f"pair ({i},{j}) anticommutes" for i, j in zip(*np.nonzero(np.triu(gram, 1)))]
-    r = gf2.rank(code.parity_check)
+    # the syndromes of the generators themselves: their symplectic products
+    anti = code.images(gf2._unpack(code.parity_check.data, 2 * code.n))[:, : len(gens)]
+    violations = [f"pair ({i},{j}) anticommutes" for i, j in zip(*np.nonzero(np.triu(anti, 1)))]
+    r = code.rowspace().rank
     if r < len(gens):
         violations.append(f"rank {r} < {len(gens)}: generators dependent")
     for i, g in enumerate(gens):
@@ -175,30 +197,20 @@ def word_from_symplectic(v: BitVector) -> PauliWord:
     return PauliWord(n, BitVector(n, x), BitVector(n, z), 0)
 
 
-def _symplectic_pairs(code: StabilizerCode, candidates: list[BitVector]) -> list[tuple[PauliWord, PauliWord]]:
-    """Symplectic Gram-Schmidt: extract k hyperbolic pairs from normalizer
-    vectors reduced modulo the stabilizer rowspace."""
+def _symplectic_pairs(vectors: list[PauliWord]) -> list[tuple[PauliWord, PauliWord]] | None:
+    """Symplectic Gram-Schmidt on independent words: pair each word with the
+    first later one it anticommutes with, and clear both from the rest.
+    None when a word has no partner."""
     pairs = []
-    vectors = [word_from_symplectic(v) for v in _quotient_basis(candidates, code.rowspace())]
     while vectors:
-        a = vectors[0]
-        rest = vectors[1:]
+        a, rest = vectors[0], vectors[1:]
         b = next((v for v in rest if pauli.symplectic_product(a, v)), None)
         if b is None:
-            raise AssertionError("normalizer quotient is not symplectic")
-        new_rest = []
-        for v in rest:
-            if v is b:
-                continue
-            w = v
-            if pauli.symplectic_product(w, b):
-                w = _xor(w, a)
-            if pauli.symplectic_product(w, a):
-                w = _xor(w, b)
-            if pauli.weight(w):
-                new_rest.append(w)
+            return None
         pairs.append((a, b))
-        vectors = new_rest
+        # make the rest commute with b, then with a; independence keeps them nonzero
+        rest = [_xor(v, a) if pauli.symplectic_product(v, b) else v for v in rest if v is not b]
+        vectors = [_xor(v, b) if pauli.symplectic_product(v, a) else v for v in rest]
     return pairs
 
 
@@ -225,8 +237,11 @@ def logical_operators(code: StabilizerCode) -> LogicalOperators:
         pairs = _css_logicals(code)
         if pairs is not None:
             return LogicalOperators(tuple(pairs))
-    kern = normalizer_kernel(code)
-    return LogicalOperators(tuple(_symplectic_pairs(code, kern)))
+    quotient = _quotient_basis(normalizer_kernel(code), code.rowspace())
+    pairs = _symplectic_pairs([word_from_symplectic(v) for v in quotient])
+    if pairs is None:
+        raise AssertionError("normalizer quotient is not symplectic")
+    return LogicalOperators(tuple(pairs))
 
 
 def _css_logicals(code: StabilizerCode) -> list[tuple[PauliWord, PauliWord]] | None:
@@ -245,26 +260,11 @@ def _css_logicals(code: StabilizerCode) -> list[tuple[PauliWord, PauliWord]] | N
     k = code.num_logical_qubits()
     if len(x_cands) != k or len(z_cands) != k:
         return None
-    pairs = []
-    xs, zs = list(x_cands), list(z_cands)
-    while xs:
-        a = xs.pop(0)
-        match = next((j for j, zv in enumerate(zs) if _dot(a, zv)), None)
-        if match is None:
-            return None
-        b = zs.pop(match)
-        # make the remaining candidates commute with the extracted pair
-        xs = [x ^ a if _dot(x, b) else x for x in xs]
-        zs = [z ^ b if _dot(a, z) else z for z in zs]
-        pairs.append((
-            PauliWord(n, a.copy(), BitVector(n), 0),
-            PauliWord(n, BitVector(n), b.copy(), 0),
-        ))
-    return pairs
-
-
-def _dot(u: BitVector, v: BitVector) -> int:
-    return int(np.bitwise_count(u.data & v.data).sum()) & 1
+    # X words come first, so each X word pairs with a Z word
+    return _symplectic_pairs(
+        [PauliWord(n, x, BitVector(n), 0) for x in x_cands]
+        + [PauliWord(n, BitVector(n), z, 0) for z in z_cands]
+    )
 
 
 def _quotient_basis(vectors: list[BitVector], rs: gf2.RowSpace) -> list[BitVector]:
@@ -278,36 +278,63 @@ def _quotient_basis(vectors: list[BitVector], rs: gf2.RowSpace) -> list[BitVecto
     return [rref.row(i) for i in range(len(pivots))]
 
 
-def enumerate_words(n: int, min_weight: int, max_weight: int):
-    """Phase-free words by ascending weight, then ascending qubit tuple,
-    then letter order X < Y < Z. This order is part of the decoding
-    contract (first word seen for a syndrome wins)."""
+# rows per block of _word_blocks: bounds the memory of a batch query
+# (weight 4 on toric:4x4 alone is 2.9M words)
+_BLOCK_ROWS = 1 << 14
+
+
+def _word_blocks(n: int, min_weight: int, max_weight: int):
+    """(weight, 0/1 (x|z) rows) blocks of the phase-free words, by ascending
+    weight, then ascending qubit tuple, then letter order X < Y < Z. This
+    order is part of the decoding contract (first word seen for a syndrome
+    wins). A block holds at most _BLOCK_ROWS rows, all of one weight."""
     for w in range(min_weight, max_weight + 1):
-        if w == 0:
-            yield PauliWord.identity(n)
-            continue
         # letter index 0, 1, 2 = X, Y, Z: x set for X and Y, z for Y and Z
-        letters = np.array(list(itertools.product(range(3), repeat=w)), dtype=np.int64)
-        x = np.zeros((len(letters), n), dtype=np.uint8)
-        z = np.zeros((len(letters), n), dtype=np.uint8)
-        for qubits in itertools.combinations(range(n), w):
-            x[:, qubits] = letters <= 1
-            z[:, qubits] = letters >= 1
-            for xw, zw in zip(gf2._pack(x), gf2._pack(z)):
-                yield PauliWord(n, BitVector(n, xw), BitVector(n, zw), 0)
-            x[:, qubits] = 0
-            z[:, qubits] = 0
+        letters = np.array(list(itertools.product(range(3), repeat=w)), dtype=np.intp)
+        x, z = letters <= 1, letters >= 1
+        tuples = itertools.combinations(range(n), w)
+        step = max(1, _BLOCK_ROWS // len(letters))
+        while chunk := list(itertools.islice(tuples, step)):
+            qubits = np.array(chunk, dtype=np.intp).reshape(len(chunk), 1, w)
+            # more letter patterns than _BLOCK_ROWS only when step is 1
+            for lo in range(0, len(letters), _BLOCK_ROWS):
+                xs, zs = x[lo : lo + _BLOCK_ROWS], z[lo : lo + _BLOCK_ROWS]
+                rows = np.arange(len(chunk) * len(xs)).reshape(len(chunk), len(xs), 1)
+                block = np.zeros((rows.size, 2 * n), dtype=np.uint8)
+                block[rows, qubits] = xs
+                block[rows, n + qubits] = zs
+                yield w, block
+
+
+def _words(xz: np.ndarray, n: int) -> list[PauliWord]:
+    """Phase-free words of 0/1 (x|z) rows."""
+    return [PauliWord(n, BitVector(n, x), BitVector(n, z), 0)
+            for x, z in zip(gf2._pack(xz[:, :n]), gf2._pack(xz[:, n:]))]
+
+
+def enumerate_words(n: int, min_weight: int, max_weight: int):
+    """Phase-free words in the order of _word_blocks."""
+    for _, block in _word_blocks(n, min_weight, max_weight):
+        yield from _words(block, n)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per 0/1 row, equal iff the rows are, for
+    any nonzero row length. All keys share one width, so the bytes dtype's
+    disregard of trailing NULs cannot merge two of them."""
+    packed = np.packbits(rows, axis=1)
+    return np.ascontiguousarray(packed).view(f"S{packed.shape[1]}").ravel()
 
 
 def distance(code: StabilizerCode, max_search_weight: int = 4) -> int | None:
     """Smallest weight of a word in N(S) \\ S, by exhaustive enumeration up
-    to `max_search_weight`; None when the search cap is exceeded."""
-    rs = code.rowspace()
-    for word in enumerate_words(code.n, 1, max_search_weight):
-        if not syndrome(code, word).is_zero():
-            continue
-        if not rs.contains(word.symplectic()):
-            return pauli.weight(word)
+    to `max_search_weight`; None when the search cap is exceeded. A word is
+    in N(S) \\ S iff its syndrome is 0 and its residual key is not."""
+    l = code.num_generators
+    for w, block in _word_blocks(code.n, 1, max_search_weight):
+        img = code.images(block)
+        if (img[:, l:].any(axis=1) & ~img[:, :l].any(axis=1)).any():
+            return w
     return None
 
 
@@ -330,13 +357,16 @@ def build_syndrome_table(code: StabilizerCode, max_weight: int) -> SyndromeTable
     zero syndrome); the first word producing a syndrome becomes its
     correction."""
     entries: dict[Syndrome, PauliWord] = {}
-    full = 1 << code.num_generators
-    for word in enumerate_words(code.n, 0, max_weight):
-        s = syndrome(code, word)
-        if s not in entries:
-            entries[s] = word
-            if len(entries) == full:
-                break
+    l, full = code.num_generators, 1 << code.num_generators
+    for _, block in _word_blocks(code.n, 0, max_weight):
+        syn = code.images(block)[:, :l]
+        first = np.sort(np.unique(_row_keys(syn), return_index=True)[1])
+        syndromes = [Syndrome(tuple(bits)) for bits in syn[first].tolist()]
+        new = [j for j, s in enumerate(syndromes) if s not in entries]
+        entries.update(zip([syndromes[j] for j in new], _words(block[first[new]], code.n)))
+        # every syndrome is claimed, so no later word can add an entry
+        if len(entries) == full:
+            break
     return SyndromeTable(entries, max_weight)
 
 

@@ -144,6 +144,14 @@ def test_emit_qasm_to_file(tmp_path, capsys):
     assert text.startswith('OPENQASM 3.0;\ninclude "stdgates.inc";\n')
 
 
+def test_emit_qasm_rejects_qubit_past_code(capsys):
+    code, out, err = run_cli(
+        capsys, "emit-qasm", "--code", "shor", "--noise", "independent-xz",
+        "--p", "0.1", "--qubits", "9", "-o", "-",
+    )
+    assert code == 1 and out == "" and "designated qubit 9 out of range" in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

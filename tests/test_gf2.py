@@ -166,3 +166,28 @@ def test_rank_matches_numpy_gauss(m):
                 a[r] ^= a[rank]
         rank += 1
     assert gf2.rank(m) == rank
+
+
+def per_pivot_reduce(rref, pivots, v):
+    """Reference: clear v's bit at each pivot in turn with that pivot's row."""
+    r = v.copy()
+    for prow, pcol in enumerate(pivots):
+        if r.get(pcol):
+            r.data ^= rref.data[prow]
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(bit_matrices(), st.data())
+def test_reduce_against_matches_per_pivot_loop(m, data):
+    rref, pivots = gf2.row_reduce(m)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=m.cols, max_size=m.cols))
+    # a random vector, and one built from the rows so that it reduces to zero
+    picks = data.draw(st.lists(st.integers(0, 1), min_size=m.rows, max_size=m.rows))
+    member = BitVector(m.cols)
+    for i in np.flatnonzero(picks):
+        member ^= m.row(int(i))
+    for v in (BitVector.from_bits(bits), member):
+        got = gf2._reduce_against(rref, pivots, v)
+        assert got == per_pivot_reduce(rref, pivots, v)
+    assert gf2._reduce_against(rref, pivots, member).is_zero()

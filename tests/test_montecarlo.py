@@ -174,16 +174,39 @@ def test_stream_runner_matches_scalar_trials(name, max_weight):
         assert mc._run_stream(arrays, model, 600, (99, 0)) == scalar
 
 
+def test_scalar_oracle_does_not_use_the_map(monkeypatch):
+    # the differential test above compares two implementations only while
+    # the scalar path keeps its own syndromes and rowspace tests
+    code = catalog.make_shor().code
+    table = stab.build_syndrome_table(code, 1)
+    logicals = stab.logical_operators(code)
+
+    def refuse(self, xz):
+        raise AssertionError("the scalar oracle called StabilizerCode.images")
+
+    monkeypatch.setattr(stab.StabilizerCode, "images", refuse)
+    rng = np.random.default_rng(3)
+    outcomes = {mc.run_trial(code, table, Depolarizing(0.2), rng) for _ in range(200)}
+    assert TrialOutcome.SUCCESS in outcomes and TrialOutcome.LOGICAL_ERROR in outcomes
+    assert logicals.violations(code) == []
+
+
 def test_float32_kernel_refuses_codes_past_its_exact_range(monkeypatch):
     bundle = catalog.make_five_qubit()  # 2n = 10
     table = stab.build_syndrome_table(bundle.code, 1)
-    monkeypatch.setattr(mc, "_FLOAT32_EXACT", 10)
+    monkeypatch.setattr(stab, "_FLOAT32_EXACT", 10)
     with pytest.raises(ValueError, match="float32"):
         mc._CodeArrays(bundle.code, table)
     with pytest.raises(ValueError, match="float32"):
         mc.logical_error_rate(bundle.code, BitFlip(0.1), 100, seed=1, table=table)
-    monkeypatch.setattr(mc, "_FLOAT32_EXACT", 11)
+    for query in (stab.validate, stab.distance, lambda code: stab.build_syndrome_table(code, 1)):
+        with pytest.raises(ValueError, match="float32"):
+            query(bundle.code)
+    monkeypatch.setattr(stab, "_FLOAT32_EXACT", 11)
     assert mc.logical_error_rate(bundle.code, BitFlip(0.1), 100, seed=1, table=table).shots == 100
+    assert stab.validate(bundle.code) == []
+    assert stab.distance(bundle.code) == 3
+    assert stab.build_syndrome_table(bundle.code, 1).entries == table.entries
 
 
 @pytest.mark.parametrize("shots,stream_size", [(0, 8192), (100, 0), (100, -5)])
@@ -238,3 +261,9 @@ def test_error_distribution_analytic_rejects_large_subset():
 def test_error_distribution_analytic_rejects_depolarizing():
     with pytest.raises(ValueError):
         mc.error_distribution_analytic(Depolarizing(0.1), (0,))
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (-1,), (2, -3)], ids=["repeated", "negative", "negative-second"])
+def test_error_distribution_analytic_rejects_bad_qubits(qubits):
+    with pytest.raises(ValueError, match="designated qubit"):
+        mc.error_distribution_analytic(IndependentXZ(0.1, 0.1), qubits)

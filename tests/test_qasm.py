@@ -125,6 +125,12 @@ def test_demo_rejects_depolarizing():
         qasm.emit_code_demo(catalog.make_three_qubit_bit(), mc.Depolarizing(0.1))
 
 
+@pytest.mark.parametrize("qubits", [(9,), (-1,), (0, 0)], ids=["past-n", "negative", "repeated"])
+def test_demo_rejects_bad_designated_qubits(qubits):
+    with pytest.raises(ValueError, match="designated qubit"):
+        qasm.emit_code_demo(catalog.make_shor(), mc.IndependentXZ(0.1, 0.1, qubits=qubits))
+
+
 def test_demo_requires_gate_encoder():
     with pytest.raises(ValueError):
         qasm.emit_code_demo(catalog.make_toric(2, 2), mc.BitFlip(0.1))

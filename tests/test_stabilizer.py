@@ -322,3 +322,68 @@ def test_export_code(five_qubit):
     assert doc["generators"] == ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
     assert doc["n"] == 5 and doc["k"] == 1 and doc["distance"] == 3
     assert len(doc["table"]) == 16
+
+
+def reference_letters(n, min_weight, max_weight):
+    """The contract order, letter by letter: weight, qubit tuple, X < Y < Z."""
+    for w in range(min_weight, max_weight + 1):
+        for qubits in itertools.combinations(range(n), w):
+            for letters in itertools.product("XYZ", repeat=w):
+                chars = ["I"] * n
+                for q, letter in zip(qubits, letters):
+                    chars[q] = letter
+                yield "".join(chars)
+
+
+def reference_table(code, max_weight):
+    """The per-word loop: scalar syndromes, first word per syndrome wins."""
+    entries = {}
+    full = 1 << code.num_generators
+    for letters in reference_letters(code.n, 0, max_weight):
+        word = PauliWord.from_letters(letters)
+        s = stab.syndrome(code, word)
+        if s not in entries:
+            entries[s] = word
+            if len(entries) == full:
+                break
+    return entries
+
+
+def reference_distance(code, cap):
+    """The per-word loop: scalar syndromes and per-word rowspace tests."""
+    rs = code.rowspace()
+    for letters in reference_letters(code.n, 1, cap):
+        word = PauliWord.from_letters(letters)
+        if stab.syndrome(code, word).is_zero() and not rs.contains(word.symplectic()):
+            return pauli.weight(word)
+    return None
+
+
+def _code(name):
+    if name == "bell":
+        return StabilizerCode.from_strings("bell", ["XX", "ZZ"])
+    return catalog.by_name(name).code
+
+
+def test_enumerate_words_follows_contract_order():
+    words = list(stab.enumerate_words(6, 0, 3))
+    assert [pauli.format_word(w) for w in words] == list(reference_letters(6, 0, 3))
+
+
+# five-qubit fills its table at weight 1, so weight 2 stops early
+@pytest.mark.parametrize("name,max_weight", [
+    ("five-qubit", 1), ("five-qubit", 2), ("shor", 2), ("planar:2x3", 2),
+    ("toric:3x3", 2), ("bell", 1),
+])
+def test_syndrome_table_matches_per_word_loop(name, max_weight):
+    code = _code(name)
+    got = stab.build_syndrome_table(code, max_weight).entries
+    assert list(got.items()) == list(reference_table(code, max_weight).items())
+
+
+@pytest.mark.parametrize("name", ["two-qubit", "five-qubit", "shor", "planar:2x3", "toric:3x3", "bell"])
+def test_distance_matches_per_word_loop(name):
+    code = _code(name)
+    found = [stab.distance(code, cap) for cap in (1, 2, 3)]
+    assert found == [reference_distance(code, cap) for cap in (1, 2, 3)]
+    assert None in found or name == "two-qubit"
