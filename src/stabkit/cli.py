@@ -14,17 +14,18 @@ SCHEMA_VERSION = 1
 
 def _noise_model(kind: str, p: float, p2: float | None, qubits) -> montecarlo.NoiseModel:
     kind = kind.replace("_", "-")
-    if kind == "bit-flip":
-        return montecarlo.BitFlip(p)
-    if kind == "phase-flip":
-        return montecarlo.PhaseFlip(p)
-    if kind == "depolarizing":
-        return montecarlo.Depolarizing(p)
     if kind == "independent-xz":
         return montecarlo.IndependentXZ(p, p2 if p2 is not None else p, qubits)
-    raise ValueError(
-        f"unknown noise kind {kind!r}; known: bit-flip, phase-flip, depolarizing, independent-xz"
-    )
+    single = {
+        "bit-flip": montecarlo.BitFlip,
+        "phase-flip": montecarlo.PhaseFlip,
+        "depolarizing": montecarlo.Depolarizing,
+    }
+    if kind not in single:
+        raise ValueError(f"unknown noise kind {kind!r}; known: {', '.join(single)}, independent-xz")
+    if p2 is not None or qubits is not None:
+        raise ValueError(f"--p2 and --qubits need --noise independent-xz, not {kind}")
+    return single[kind](p)
 
 
 def _parse_qubits(text: str | None) -> tuple[int, ...] | None:

@@ -56,24 +56,27 @@ class IndependentXZ:
 NoiseModel = BitFlip | PhaseFlip | Depolarizing | IndependentXZ
 
 
-def _validate_model(model: NoiseModel) -> None:
+def _validate_model(model: NoiseModel, n: int | None = None) -> None:
+    """Reject probabilities outside [0, 1] and designated qubits that are
+    negative, repeated, or >= n when n is given."""
     probs = (
         (model.p,) if not isinstance(model, IndependentXZ) else (model.p_x, model.p_z)
     )
     for p in probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
+    if getattr(model, "qubits", None) is not None:
+        _check_qubits(model.qubits, n)
 
 
-def _coin_mask(model: IndependentXZ, n: int) -> np.ndarray:
-    if model.qubits is None:
-        return np.ones(n, dtype=bool)
-    for q in model.qubits:
-        if not 0 <= q < n:
+def _check_qubits(qubits, n: int | None) -> list[int]:
+    qubits = list(qubits)
+    for q in qubits:
+        if q < 0 or (n is not None and q >= n):
             raise ValueError(f"designated qubit {q} out of range")
-    mask = np.zeros(n, dtype=bool)
-    mask[list(model.qubits)] = True
-    return mask
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"designated qubits {qubits} repeat")
+    return qubits
 
 
 def _sample_bits(model: NoiseModel, n: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,9 +95,13 @@ def _sample_bits(model: NoiseModel, n: int, uniforms: np.ndarray) -> tuple[np.nd
         z = hit & (u >= p / 3)             # Y or Z
         return x, z
     if isinstance(model, IndependentXZ):
-        mask = _coin_mask(model, uniforms.shape[-1])
-        x = (uniforms[..., 0, :] < model.p_x) & mask
-        z = (uniforms[..., 1, :] < model.p_z) & mask
+        x = uniforms[..., 0, :] < model.p_x
+        z = uniforms[..., 1, :] < model.p_z
+        if model.qubits is not None:
+            mask = np.zeros(n, dtype=bool)
+            mask[list(model.qubits)] = True
+            x &= mask
+            z &= mask
         return x, z
     raise TypeError(f"unknown noise model {model!r}")
 
@@ -105,7 +112,7 @@ def _uniform_shape(model: NoiseModel, n: int) -> tuple[int, ...]:
 
 def sample_error(model: NoiseModel, n: int, rng: np.random.Generator) -> PauliWord:
     """Draw one iid per-qubit error word."""
-    _validate_model(model)
+    _validate_model(model, n)
     u = rng.random(_uniform_shape(model, n))
     x, z = _sample_bits(model, n, u)
     return PauliWord(n, BitVector.from_bits(x), BitVector.from_bits(z), 0)
@@ -212,7 +219,7 @@ def logical_error_rate(
     trials; deterministic for a given seed regardless of worker count."""
     if shots < 1 or stream_size < 1:
         raise ValueError("shots and stream_size must be >= 1")
-    _validate_model(model)
+    _validate_model(model, code.n)
     if table is None:
         table = build_syndrome_table(code, 1)
     arrays = _CodeArrays(code, table)
@@ -243,16 +250,14 @@ def logical_error_rate(
 MAX_ANALYTIC_COINS = 8
 
 
-def _noise_coins(model: NoiseModel, qubits, n: int | None = None) -> list[tuple[str, int, float]]:
-    """(letter, qubit, probability) per binary coin on `qubits`, X coins
-    first. Rejects negative or repeated qubits, and qubits >= n when n is
-    given."""
-    qubits = list(qubits)
-    for q in qubits:
-        if q < 0 or (n is not None and q >= n):
-            raise ValueError(f"designated qubit {q} out of range")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"designated qubits {qubits} repeat")
+def _noise_coins(model: NoiseModel, qubits=None, n: int | None = None) -> list[tuple[str, int, float]]:
+    """(letter, qubit, probability) per binary coin, X coins first. `qubits`
+    defaults to the model's designated qubits, or all n. The model and the
+    qubits pass the checks of `_validate_model`."""
+    _validate_model(model, n)
+    if qubits is None:
+        qubits = range(n) if getattr(model, "qubits", None) is None else model.qubits
+    qubits = _check_qubits(qubits, n)
     if isinstance(model, BitFlip):
         return [("X", q, model.p) for q in qubits]
     if isinstance(model, PhaseFlip):
@@ -266,7 +271,6 @@ def error_distribution_analytic(model: NoiseModel, qubits) -> dict[str, float]:
     """Exact product-of-Bernoullis probability for every coin pattern on a
     small designated qubit subset. Keys are 1-based product labels like
     "X1Z3" ("I" for the empty pattern)."""
-    _validate_model(model)
     coins = _noise_coins(model, qubits)
     if len(coins) > MAX_ANALYTIC_COINS:
         raise ValueError(f"subset too large ({len(coins)} coins > {MAX_ANALYTIC_COINS})")

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from . import pauli
-from .montecarlo import IndependentXZ, NoiseModel, _noise_coins
+from .montecarlo import NoiseModel, _noise_coins
 from .stabilizer import build_syndrome_table
 from .statevec import Circuit, Op
 
@@ -144,29 +144,22 @@ def emit(
     return QasmProgram("\n".join(lines) + "\n", qubit_registers, classical_registers)
 
 
-def build_code_demo(bundle, model: NoiseModel, p: float | None = None,
-                    table_weight: int = 1) -> tuple[Circuit, tuple[Register, ...], tuple[Register, ...]]:
+def build_code_demo(
+    bundle, model: NoiseModel, table_weight: int = 1
+) -> tuple[Circuit, tuple[Register, ...], tuple[Register, ...]]:
     """Assemble the demo circuit: encoder, per-coin stochastic noise
     gadgets, syndrome extraction, classically-controlled corrections, and
     final data measurement.
 
-    `p` overrides the model's probabilities when given (CLI convenience).
-    Returns the flat circuit and its register layouts; data qubits come
-    first, then noise ancillas, then syndrome ancillas.
+    Coins go on the model's designated qubits (all data qubits when it
+    designates none). Returns the flat circuit and its register layouts;
+    data qubits come first, then noise ancillas, then syndrome ancillas.
     """
     code = bundle.code
     if not isinstance(bundle.encoder, Circuit):
         raise ValueError("demo needs a gate-circuit encoder")
-    if p is not None:
-        if isinstance(model, IndependentXZ):
-            model = IndependentXZ(p, p, model.qubits)
-        else:
-            model = type(model)(p)
     n = code.n
-    qubits = range(n)
-    if isinstance(model, IndependentXZ) and model.qubits is not None:
-        qubits = model.qubits
-    coins = _noise_coins(model, qubits, n)
+    coins = _noise_coins(model, n=n)
     n_coins = len(coins)
     l = code.num_generators
     qregs = (
@@ -225,8 +218,8 @@ def build_code_demo(bundle, model: NoiseModel, p: float | None = None,
     return circ, qregs, cregs
 
 
-def emit_code_demo(bundle, model: NoiseModel, p: float | None = None) -> QasmProgram:
-    circ, qregs, cregs = build_code_demo(bundle, model, p)
+def emit_code_demo(bundle, model: NoiseModel) -> QasmProgram:
+    circ, qregs, cregs = build_code_demo(bundle, model)
     return emit(circ, qregs, cregs)
 
 

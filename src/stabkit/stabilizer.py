@@ -40,12 +40,6 @@ class Syndrome:
     def is_zero(self) -> bool:
         return not any(self.bits)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Syndrome":
-        if not all(c in "01" for c in text):
-            raise ValueError(f"bad syndrome string {text!r}")
-        return cls(tuple(int(c) for c in text))
-
 
 @dataclass(frozen=True)
 class LogicalOperators:

@@ -172,18 +172,6 @@ class StateVector:
             self.amps = amps.copy()
 
     @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        return cls(n)
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(round(math.log2(amps.size)))
-        if 1 << n != amps.size:
-            raise ValueError("amplitude count must be a power of two")
-        return cls(n, amps)
-
-    @classmethod
     def basis(cls, n: int, index: int) -> "StateVector":
         s = cls(n)
         s.amps[0] = 0.0
@@ -257,10 +245,15 @@ def apply_pauli(state: StateVector, word: PauliWord) -> None:
 
 
 def _measure(state: StateVector, q: int, rng, forced: int | None) -> tuple[int, float]:
-    v = _view(state)
-    sl0 = _slab(v, state.n, **{f"a{q}": 0})
-    p0 = float(np.sum(np.abs(v[sl0]) ** 2))
-    p0 = min(max(p0, 0.0), 1.0)
+    """Project axis q onto one outcome; returns (outcome, branch probability).
+
+    P(0) is w0 / (w0 + w1) from the two branch weights, and the kept branch
+    is divided by its own norm, so a state that has drifted in norm is
+    renormalised exactly instead of having the drift amplified by 1/prob.
+    """
+    a = state.amps.reshape(1 << q, 2, -1)
+    w = [float(np.vdot(b, b).real) for b in (a[:, 0].ravel(), a[:, 1].ravel())]
+    p0 = w[0] / (w[0] + w[1])
     if forced is not None:
         outcome = int(forced)
     elif rng is not None:
@@ -273,12 +266,11 @@ def _measure(state: StateVector, q: int, rng, forced: int | None) -> tuple[int, 
         raise ValueError(
             f"measurement outcome is random (P(0)={p0:.3g}); pass an rng or force a branch"
         )
-    prob = p0 if outcome == 0 else 1.0 - p0
+    prob = w[outcome] / (w[0] + w[1])
     if prob <= 1e-300:
         raise ValueError(f"postselected branch q{q}={outcome} has zero probability")
-    other = _slab(v, state.n, **{f"a{q}": 1 - outcome})
-    v[other] = 0.0
-    state.amps /= math.sqrt(prob)
+    a[:, 1 - outcome, :] = 0.0
+    a[:, outcome, :] /= math.sqrt(w[outcome])
     return outcome, prob
 
 
@@ -292,6 +284,41 @@ def _condition_met(cond, bits: dict[int, int]) -> bool:
     return acc == value
 
 
+def _run(
+    ops, state: StateVector | None, order: list[int], last_use: dict[int, int],
+    rng, forced_outcomes,
+) -> tuple[MeasurementRecord, StateVector | None]:
+    """The one op loop. Register axis j holds qubit order[j]; a qubit not in
+    `order` enters as a fresh |0> at its first use, and a measured qubit
+    leaves the register when the measurement is its `last_use` op index.
+    `order` is updated in place; returns the record and the final state."""
+    record = MeasurementRecord()
+    forced = iter(() if forced_outcomes is None else forced_outcomes)
+    for i, op in enumerate(ops):
+        if not _condition_met(op.condition, record.bits):
+            continue
+        for q in (*op.controls, *op.targets):
+            if q not in order:
+                order.append(q)
+                fresh = np.array([1.0, 0.0])
+                state = StateVector(len(order), fresh if state is None else np.kron(state.amps, fresh))
+        if op.kind != "measure":
+            _apply_unitary_op(state, op, order.index)
+            continue
+        q = op.targets[0]
+        ax = order.index(q)
+        outcome, prob = _measure(state, ax, rng, next(forced, None))
+        record.outcomes.append(outcome)
+        record.probability *= prob
+        if op.classical_bit is not None:
+            record.bits[op.classical_bit] = outcome
+        if last_use.get(q) == i:
+            order.pop(ax)
+            kept = state.amps.reshape(1 << ax, 2, -1)[:, outcome, :]
+            state = StateVector(len(order), kept.reshape(-1)) if order else None
+    return record, state
+
+
 def apply(
     state: StateVector,
     circuit: Circuit | Op,
@@ -303,23 +330,11 @@ def apply(
     `forced_outcomes` postselects measurement branches in program order,
     renormalizing and recording the joint branch probability.
     """
-    ops = circuit.ops if isinstance(circuit, Circuit) else [circuit]
-    if isinstance(circuit, Circuit) and circuit.n_qubits != state.n:
+    if isinstance(circuit, Op):
+        circuit = Circuit(state.n)._add(circuit)
+    if circuit.n_qubits != state.n:
         raise ValueError("circuit/state qubit count mismatch")
-    record = MeasurementRecord()
-    forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
-    for op in ops:
-        if op.kind == "measure":
-            forced = next(forced_iter, None) if forced_iter is not None else None
-            outcome, prob = _measure(state, op.targets[0], rng, forced)
-            record.outcomes.append(outcome)
-            record.probability *= prob
-            if op.classical_bit is not None:
-                record.bits[op.classical_bit] = outcome
-            continue
-        if not _condition_met(op.condition, record.bits):
-            continue
-        _apply_unitary_op(state, op)
+    record, _ = _run(circuit.ops, state, list(range(state.n)), {}, rng, forced_outcomes)
     if not record.outcomes:
         drift = abs(np.linalg.norm(state.amps) - 1.0)
         if drift > 1e-10:
@@ -327,26 +342,26 @@ def apply(
     return record
 
 
-def _apply_unitary_op(state: StateVector, op: Op) -> None:
+def _apply_unitary_op(state: StateVector, op: Op, axis) -> None:
+    """Apply a non-measurement op; `axis` maps a qubit id to its register axis."""
     n = state.n
+    ts = [axis(q) for q in op.targets]
+    c = axis(op.controls[0]) if op.controls else None
     if op.kind in GATE_MATRICES and op.kind != "i":
-        _apply_1q(state, GATE_MATRICES[op.kind], op.targets[0])
+        _apply_1q(state, GATE_MATRICES[op.kind], ts[0])
     elif op.kind in ("rx", "ry", "rz"):
-        _apply_1q(state, rotation_matrix(op.kind[1], op.angle), op.targets[0])
+        _apply_1q(state, rotation_matrix(op.kind[1], op.angle), ts[0])
     elif op.kind == "cx":
         v = _view(state)
-        c, t = op.controls[0], op.targets[0]
         sl = _slab(v, n, **{f"a{c}": 1})
-        t_ax = t - (1 if t > c else 0)
-        v[sl] = np.flip(v[sl], axis=t_ax)
+        v[sl] = np.flip(v[sl], axis=ts[0] - (1 if ts[0] > c else 0))
     elif op.kind == "cz":
         v = _view(state)
-        c, t = op.controls[0], op.targets[0]
-        sl = _slab(v, n, **{f"a{c}": 1, f"a{t}": 1})
+        sl = _slab(v, n, **{f"a{c}": 1, f"a{ts[0]}": 1})
         v[sl] *= -1.0
     elif op.kind == "swap":
         v = _view(state)
-        a, b = op.targets
+        a, b = ts
         sl01 = _slab(v, n, **{f"a{a}": 0, f"a{b}": 1})
         sl10 = _slab(v, n, **{f"a{a}": 1, f"a{b}": 0})
         tmp = v[sl01].copy()
@@ -354,11 +369,9 @@ def _apply_unitary_op(state: StateVector, op: Op) -> None:
         v[sl10] = tmp
     elif op.kind == "cpauli":
         v = _view(state)
-        c = op.controls[0]
-        word = op.pauli
         sl = _slab(v, n, **{f"a{c}": 1})
-        data_axes = [t - (1 if t > c else 0) for t in op.targets]
-        v[sl] = _apply_pauli_slab(v[sl], word, data_axes)
+        data_axes = [t - (1 if t > c else 0) for t in ts]
+        v[sl] = _apply_pauli_slab(v[sl], op.pauli, data_axes)
     else:
         raise ValueError(f"unsupported op kind {op.kind!r}")
 
@@ -376,59 +389,9 @@ def apply_with_recycling(
     declared width. Returns (record, final state, live qubit ids); the
     state is None when everything has been measured away.
     """
-    last_use: dict[int, int] = {}
-    for i, op in enumerate(circuit.ops):
-        for q in (*op.controls, *op.targets):
-            last_use[q] = i
+    last_use = {q: i for i, op in enumerate(circuit.ops) for q in (*op.controls, *op.targets)}
     order: list[int] = []
-    state: StateVector | None = None
-    record = MeasurementRecord()
-    forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
-
-    def ensure(qubits) -> None:
-        nonlocal state
-        for q in qubits:
-            if q not in order:
-                order.append(q)
-                if state is None:
-                    state = StateVector(1)
-                else:
-                    state = StateVector(
-                        len(order), np.kron(state.amps, np.array([1.0, 0.0]))
-                    )
-
-    for i, op in enumerate(circuit.ops):
-        qubits = (*op.controls, *op.targets)
-        if op.kind == "measure":
-            ensure(qubits)
-            q = op.targets[0]
-            ax = order.index(q)
-            forced = next(forced_iter, None) if forced_iter is not None else None
-            outcome, prob = _measure(state, ax, rng, forced)
-            record.outcomes.append(outcome)
-            record.probability *= prob
-            if op.classical_bit is not None:
-                record.bits[op.classical_bit] = outcome
-            if last_use[q] == i:
-                v = _view(state)
-                kept = v[_slab(v, state.n, **{f"a{ax}": outcome})]
-                order.pop(ax)
-                state = (
-                    StateVector(len(order), kept.reshape(-1)) if order else None
-                )
-            continue
-        if not _condition_met(op.condition, record.bits):
-            continue
-        ensure(qubits)
-        mapped = Op(
-            kind=op.kind,
-            targets=tuple(order.index(q) for q in op.targets),
-            controls=tuple(order.index(q) for q in op.controls),
-            angle=op.angle,
-            pauli=op.pauli,
-            classical_bit=op.classical_bit,
-        )
-        _apply_unitary_op(state, mapped)
+    record, state = _run(circuit.ops, None, order, last_use, rng, forced_outcomes)
     return record, state, order
 
 

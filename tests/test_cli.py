@@ -152,6 +152,21 @@ def test_emit_qasm_rejects_qubit_past_code(capsys):
     assert code == 1 and out == "" and "designated qubit 9 out of range" in err
 
 
+@pytest.mark.parametrize("command,noise,flag,message", [
+    ("simulate", "independent-xz", ["--qubits", "0,0"], "designated qubits [0, 0] repeat"),
+    ("simulate", "bit-flip", ["--qubits", "0"], "need --noise independent-xz"),
+    ("simulate", "depolarizing", ["--p2", "0.3"], "need --noise independent-xz"),
+    ("emit-qasm", "bit-flip", ["--qubits", "0"], "need --noise independent-xz"),
+    ("emit-qasm", "phase-flip", ["--p2", "0.3"], "need --noise independent-xz"),
+], ids=["simulate-repeated-qubits", "simulate-qubits", "simulate-p2", "emit-qasm-qubits", "emit-qasm-p2"])
+def test_noise_flags_are_checked_not_dropped(capsys, command, noise, flag, message):
+    extra = ["--shots", "1000"] if command == "simulate" else ["-o", "-"]
+    code, out, err = run_cli(
+        capsys, command, "--code", "shor", "--noise", noise, "--p", "0.1", *flag, *extra
+    )
+    assert code == 1 and out == "" and message in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -56,6 +56,15 @@ def test_invalid_probability_rejected():
         mc.sample_error(BitFlip(1.5), 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("qubits", [(0, 0), (1, 2, 1)], ids=["pair", "third"])
+def test_repeated_designated_qubits_rejected(qubits):
+    model = IndependentXZ(0.1, 0.1, qubits=qubits)
+    with pytest.raises(ValueError, match="repeat"):
+        mc.sample_error(model, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="repeat"):
+        mc.logical_error_rate(catalog.make_shor().code, model, 100, seed=0)
+
+
 def test_decode_outcomes_three_qubit():
     bundle = catalog.make_three_qubit_bit()
     table = stab.build_syndrome_table(bundle.code, 1)

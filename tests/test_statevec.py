@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stabkit import catalog, pauli, stabilizer as stab, statevec as sv
+from stabkit import catalog, montecarlo as mc, pauli, qasm, stabilizer as stab, statevec as sv
 from stabkit.statevec import Circuit, StateVector
 
 
@@ -287,8 +287,7 @@ def test_imperfect_gate_model():
     assert abs(slope - 2.0) < 0.1
 
 
-def test_recycling_matches_flat_simulation():
-    rng = np.random.default_rng(8)
+def _ancilla_reuse_circuit():
     circ = Circuit(4, n_classical=2)
     circ.h(0)
     circ.cx(0, 1)
@@ -297,8 +296,33 @@ def test_recycling_matches_flat_simulation():
     circ.x(3, condition=((0,), 1))
     circ.cx(1, 3)
     circ.measure(3, 1)
-    for forced in itertools.product((0, 1), repeat=2):
-        flat = StateVector(4)
+    return circ, itertools.product((0, 1), repeat=2)
+
+
+def _three_qubit_bit_demo():
+    # 3 data + 3 coin + 2 syndrome qubits; every coin pattern is forced and
+    # the syndrome and data measurements that follow are deterministic
+    circ, _, _ = qasm.build_code_demo(catalog.make_three_qubit_bit(), mc.BitFlip(0.1))
+    return circ, itertools.product((0, 1), repeat=3)
+
+
+def _embed(state, order, circ, bits):
+    """The flat register that a recycled run stands for: live qubits from
+    `state` (axis j is qubit order[j]), measured qubits in their outcome."""
+    outcome = {op.targets[0]: bits[op.classical_bit] for op in circ.ops if op.kind == "measure"}
+    flat = np.zeros([2] * circ.n_qubits, dtype=complex)
+    live = 1.0 if state is None else state.amps.reshape([2] * state.n).transpose(np.argsort(order))
+    flat[tuple(slice(None) if q in order else outcome[q] for q in range(circ.n_qubits))] = live
+    return StateVector(circ.n_qubits, flat.reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "build", [_ancilla_reuse_circuit, _three_qubit_bit_demo], ids=["ancilla-reuse", "three-qubit-bit-demo"]
+)
+def test_recycling_matches_flat_simulation(build):
+    circ, patterns = build()
+    for forced in patterns:
+        flat = StateVector(circ.n_qubits)
         try:
             rec_flat = sv.apply(flat, circ, forced_outcomes=list(forced))
         except ValueError:
@@ -311,4 +335,27 @@ def test_recycling_matches_flat_simulation():
         if rec_flat is None:
             continue
         assert rec_flat.bits == rec_cyc.bits
+        assert rec_flat.outcomes == rec_cyc.outcomes
         assert rec_flat.probability == pytest.approx(rec_cyc.probability, abs=1e-12)
+        assert sv.fidelity(flat, _embed(state, order, circ, rec_cyc.bits)) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("name,model,forced", [
+    ("three-qubit-bit", mc.BitFlip(0.001), [1, 1, 1]),
+    ("shor", mc.IndependentXZ(0.01, 0.01), [0] * 9 + [1] * 4 + [0] * 5),
+    ("shor", mc.IndependentXZ(0.01, 0.01), [0] * 9 + [1] * 5 + [0] * 4),
+    ("shor", mc.IndependentXZ(0.01, 0.01), [1] * 9 + [0] * 9),
+], ids=["three-qubit-bit-xxx", "shor-4z", "shor-5z", "shor-9x"])
+def test_forced_rare_branches_stay_normalised(name, model, forced):
+    # a forced branch of probability ~1e-9 must not amplify rounding drift:
+    # the kept branch is divided by its own norm, not by sqrt(1 - P(0))
+    bundle = catalog.by_name(name)
+    circ, _, _ = qasm.build_code_demo(bundle, model)
+    del circ.ops[-bundle.code.n:]  # leave the data qubits unmeasured
+    rec, state, order = sv.apply_with_recycling(circ, forced_outcomes=forced)
+    coins = mc._noise_coins(model, n=bundle.code.n)
+    expected = math.prod(p if fired else 1 - p for (_, _, p), fired in zip(coins, forced))
+    assert expected < 1e-8
+    assert sorted(order) == list(range(bundle.code.n))
+    assert abs(state.norm() - 1.0) <= 1e-12
+    assert rec.probability == pytest.approx(expected, rel=1e-12, abs=0)
