@@ -80,7 +80,7 @@ def _cmd_decode_table(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"{'syndrome':>10}  correction")
-        for s, w in sorted(table.entries.items(), key=lambda kv: kv[0].bits):
+        for s, w in table.items():
             print(f"{str(s):>10}  {pauli.format_product(w)}")
     return 0
 

@@ -17,10 +17,9 @@ from itertools import combinations
 
 import numpy as np
 
-from . import gf2
 from .gf2 import BitVector
 from .pauli import PauliWord
-from .stabilizer import StabilizerCode, Syndrome, SyndromeTable, _row_keys, build_syndrome_table
+from .stabilizer import StabilizerCode, SyndromeTable, build_syndrome_table
 
 RNG_NAME = "pcg64-seedseq(seed,stream)"
 DEFAULT_STREAM_SIZE = 8192
@@ -132,13 +131,9 @@ def decode_outcome(
     error; an absent syndrome is reported as unmatched."""
     from .stabilizer import Residual, _xor, residual_class, syndrome
 
-    s = syndrome(code, error)
-    if s.is_zero():
-        correction = PauliWord.identity(code.n)
-    else:
-        correction = table.correction(s)
-        if correction is None:
-            return TrialOutcome.UNMATCHED_SYNDROME
+    correction = table.correction(syndrome(code, error))
+    if correction is None:
+        return TrialOutcome.UNMATCHED_SYNDROME
     if residual_class(code, _xor(correction, error)) is Residual.STABILIZER:
         return TrialOutcome.SUCCESS
     return TrialOutcome.LOGICAL_ERROR
@@ -170,39 +165,15 @@ class MCStats:
     stream_size: int = DEFAULT_STREAM_SIZE
 
 
-class _CodeArrays:
-    """The table's keys under the code's GF(2) map (`StabilizerCode.images`):
-    the sorted syndrome keys, and each entry's image key."""
-
-    def __init__(self, code: StabilizerCode, table: SyndromeTable):
-        self.code, self.n, self.l = code, code.n, code.num_generators
-        # the zero syndrome always takes the identity, as in decode_outcome
-        entries = {**table.entries, Syndrome((0,) * self.l): PauliWord.identity(self.n)}
-        keys = _row_keys(np.array([s.bits for s in entries], dtype=np.uint8))
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        words = list(entries.values())
-        x = gf2._unpack(np.stack([w.x_bits.data for w in words]), self.n)
-        z = gf2._unpack(np.stack([w.z_bits.data for w in words]), self.n)
-        self.image_keys = self.keys_of(np.concatenate([x, z], axis=1)[order])[1]
-
-    def keys_of(self, xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys of the syndromes and of the whole images of 0/1 (x|z) rows."""
-        images = self.code.images(xz)
-        return _row_keys(images[:, : self.l]), _row_keys(images)
-
-
-def _run_stream(
-    arrays: _CodeArrays, model: NoiseModel, size: int, seed_pair: tuple[int, int]
-) -> tuple[int, int, int]:
-    """(success, logical, unmatched) counts for one derived stream."""
+def _run_stream(code: StabilizerCode, table: SyndromeTable, model: NoiseModel, size: int,
+                seed_pair: tuple[int, int]) -> tuple[int, int, int]:
+    """(success, logical, unmatched) counts for one derived stream; a matched
+    shot succeeds iff its image equals its correction's (`StabilizerCode.images`)."""
     rng = np.random.default_rng(list(seed_pair))
-    n = arrays.n
-    bits = _sample_bits(model, n, rng.random((size,) + _uniform_shape(model, n)))
-    keys, image_keys = arrays.keys_of(np.concatenate(bits, axis=1, dtype=np.float32))
-    idx = np.minimum(np.searchsorted(arrays.keys, keys), len(arrays.keys) - 1)
-    matched = arrays.keys[idx] == keys
-    n_success = int((matched & (arrays.image_keys[idx] == image_keys)).sum())
+    bits = _sample_bits(model, code.n, rng.random((size,) + _uniform_shape(model, code.n)))
+    keys, image_keys = code.keys_of(np.concatenate(bits, axis=1, dtype=np.float32))
+    rows, matched = table.find(keys)
+    n_success = int((matched & (table.image_keys[rows] == image_keys)).sum())
     return n_success, size - n_success, size - int(matched.sum())
 
 
@@ -222,9 +193,10 @@ def logical_error_rate(
     _validate_model(model, code.n)
     if table is None:
         table = build_syndrome_table(code, 1)
-    arrays = _CodeArrays(code, table)
+    if table.code.parity_check != code.parity_check:
+        raise ValueError(f"the table was built for {table.code.name}, not {code.name}")
     jobs = [
-        (arrays, model, min(stream_size, shots - start), (seed, i))
+        (code, table, model, min(stream_size, shots - start), (seed, i))
         for i, start in enumerate(range(0, shots, stream_size))
     ]
     if workers > 1:
@@ -252,12 +224,15 @@ MAX_ANALYTIC_COINS = 8
 
 def _noise_coins(model: NoiseModel, qubits=None, n: int | None = None) -> list[tuple[str, int, float]]:
     """(letter, qubit, probability) per binary coin, X coins first. `qubits`
-    defaults to the model's designated qubits, or all n. The model and the
-    qubits pass the checks of `_validate_model`."""
+    defaults to the model's designated qubits (or all n) and names only those.
+    The model and the qubits pass the checks of `_validate_model`."""
     _validate_model(model, n)
+    designated = getattr(model, "qubits", None)
     if qubits is None:
-        qubits = range(n) if getattr(model, "qubits", None) is None else model.qubits
+        qubits = range(n) if designated is None else designated
     qubits = _check_qubits(qubits, n)
+    if designated is not None and not set(qubits) <= set(designated):
+        raise ValueError(f"qubits {qubits} are not all among the model's designated {designated}")
     if isinstance(model, BitFlip):
         return [("X", q, model.p) for q in qubits]
     if isinstance(model, PhaseFlip):

@@ -144,12 +144,10 @@ def emit(
     return QasmProgram("\n".join(lines) + "\n", qubit_registers, classical_registers)
 
 
-def build_code_demo(
-    bundle, model: NoiseModel, table_weight: int = 1
-) -> tuple[Circuit, tuple[Register, ...], tuple[Register, ...]]:
+def build_code_demo(bundle, model: NoiseModel) -> tuple[Circuit, tuple[Register, ...], tuple[Register, ...]]:
     """Assemble the demo circuit: encoder, per-coin stochastic noise
-    gadgets, syndrome extraction, classically-controlled corrections, and
-    final data measurement.
+    gadgets, syndrome extraction, classically-controlled corrections from
+    the weight-1 syndrome table, and final data measurement.
 
     Coins go on the model's designated qubits (all data qubits when it
     designates none). Returns the flat circuit and its register layouts;
@@ -201,14 +199,10 @@ def build_code_demo(
             circ.cpauli(anc, g, targets=tuple(range(n)))
             circ.h(anc)
         circ.measure(anc, n_coins + i)
-    table = build_syndrome_table(code, table_weight)
+    table = build_syndrome_table(code, 1)
     syn_bits = tuple(range(n_coins, n_coins + l))
-    entries = []
-    for s, w in table.entries.items():
-        value = sum(b << k for k, b in enumerate(s.bits))
-        if value:
-            entries.append((value, w))
-    for value, w in sorted(entries):
+    # by condition value; the zero syndrome's identity adds no gate
+    for value, w in sorted((sum(b << k for k, b in enumerate(s.bits)), w) for s, w in table.items()):
         cond = (syn_bits, value)
         letters = w.letters()
         for q in w.support():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,11 @@ class StabilizerCode:
         img = (xz.astype(np.float32, copy=False) @ self._map).astype(np.int32)
         return np.bitwise_and(img, 1, dtype=np.uint8, casting="unsafe")
 
+    def keys_of(self, xz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_row_keys` of the syndromes and of the whole images of 0/1 (x|z) rows."""
+        images = self.images(xz)
+        return _row_keys(images[:, : self.num_generators]), _row_keys(images)
+
     def generator_strings(self) -> list[str]:
         return [pauli.format_word(g) for g in self.generators]
 
@@ -240,14 +246,10 @@ def logical_operators(code: StabilizerCode) -> LogicalOperators:
 
 def _css_logicals(code: StabilizerCode) -> list[tuple[PauliWord, PauliWord]] | None:
     n = code.n
-    x_rows = [g.x_bits for g in code.generators if g.z_bits.is_zero() and not g.x_bits.is_zero()]
-    z_rows = [g.z_bits for g in code.generators if g.x_bits.is_zero() and not g.z_bits.is_zero()]
-    hx = BitMatrix(len(x_rows), n)
-    for i, r in enumerate(x_rows):
-        hx.data[i] = r.data
-    hz = BitMatrix(len(z_rows), n)
-    for i, r in enumerate(z_rows):
-        hz.data[i] = r.data
+    # the pure-X and pure-Z generators' halves
+    has_x, has_z = code.check_x.any(axis=1), code.check_z.any(axis=1)
+    hx = BitMatrix(int((has_x & ~has_z).sum()), n, code.check_x[has_x & ~has_z])
+    hz = BitMatrix(int((has_z & ~has_x).sum()), n, code.check_z[has_z & ~has_x])
     # pure-X logicals: commute with Z checks, not generated by X checks
     x_cands = _quotient_basis(gf2.kernel_basis(hz), gf2.RowSpace(hx))
     z_cands = _quotient_basis(gf2.kernel_basis(hx), gf2.RowSpace(hz))
@@ -301,15 +303,14 @@ def _word_blocks(n: int, min_weight: int, max_weight: int):
 
 
 def _words(xz: np.ndarray, n: int) -> list[PauliWord]:
-    """Phase-free words of 0/1 (x|z) rows."""
-    return [PauliWord(n, BitVector(n, x), BitVector(n, z), 0)
-            for x, z in zip(gf2._pack(xz[:, :n]), gf2._pack(xz[:, n:]))]
+    """Phase-free words of packed (x, z) halves, of shape (rows, 2, words)."""
+    return [PauliWord(n, BitVector(n, x), BitVector(n, z), 0) for x, z in xz]
 
 
 def enumerate_words(n: int, min_weight: int, max_weight: int):
     """Phase-free words in the order of _word_blocks."""
     for _, block in _word_blocks(n, min_weight, max_weight):
-        yield from _words(block, n)
+        yield from _words(gf2._pack(block.reshape(-1, 2, n)), n)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -332,36 +333,65 @@ def distance(code: StabilizerCode, max_search_weight: int = 4) -> int | None:
     return None
 
 
-@dataclass
+@dataclass(eq=False)
 class SyndromeTable:
-    """Minimal-weight correction per syndrome, built in enumeration order."""
+    """The minimal-weight lookup table of `code`, as arrays sorted by syndrome
+    key (`_row_keys`, which sorts like the syndrome bits). Row i holds key i's
+    correction as packed x and z halves, and the key of its whole image
+    (`StabilizerCode.keys_of`); `order` lists the rows in enumeration order.
+    The MC kernel, `decode_outcome` and the exports read the arrays;
+    `entries` (the dict in enumeration order) is built on first read."""
 
-    entries: dict[Syndrome, PauliWord]
+    code: StabilizerCode
     max_weight: int
+    keys: np.ndarray
+    image_keys: np.ndarray
+    xz: np.ndarray
+    order: np.ndarray
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each syndrome key, and whether the table holds that key."""
+        rows = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return rows, self.keys[rows] == keys
 
     def correction(self, s: Syndrome) -> PauliWord | None:
-        return self.entries.get(s)
+        if len(s) != self.code.num_generators:
+            return None
+        rows, hit = self.find(_row_keys(np.array([s.bits], dtype=np.uint8)))
+        return _words(self.xz[rows], self.code.n)[0] if hit[0] else None
+
+    def items(self, rows=slice(None)) -> list[tuple[Syndrome, PauliWord]]:
+        """(syndrome, correction) pairs of the given rows, by default all in key order."""
+        bits = np.unpackbits(self.keys[rows, None].view(np.uint8), axis=1, count=self.code.num_generators)
+        return list(zip(map(Syndrome, map(tuple, bits.tolist())), _words(self.xz[rows], self.code.n)))
+
+    @cached_property
+    def entries(self) -> dict[Syndrome, PauliWord]:
+        return dict(self.items(self.order))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
 
 def build_syndrome_table(code: StabilizerCode, max_weight: int) -> SyndromeTable:
     """Enumerate errors by ascending weight (identity first, claiming the
     zero syndrome); the first word producing a syndrome becomes its
-    correction."""
-    entries: dict[Syndrome, PauliWord] = {}
-    l, full = code.num_generators, 1 << code.num_generators
+    correction, and its image key comes from the block's same product."""
+    if max_weight < 0:
+        raise ValueError(f"max_weight {max_weight} < 0")
+    l, firsts, seen = code.num_generators, [], np.empty(0, dtype="S1")
     for _, block in _word_blocks(code.n, 0, max_weight):
-        syn = code.images(block)[:, :l]
-        first = np.sort(np.unique(_row_keys(syn), return_index=True)[1])
-        syndromes = [Syndrome(tuple(bits)) for bits in syn[first].tolist()]
-        new = [j for j, s in enumerate(syndromes) if s not in entries]
-        entries.update(zip([syndromes[j] for j in new], _words(block[first[new]], code.n)))
+        keys, image_keys = code.keys_of(block)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        firsts.append((keys[first], image_keys[first], gf2._pack(block[first].reshape(-1, 2, code.n))))
+        seen = np.union1d(seen, keys[first])
         # every syndrome is claimed, so no later word can add an entry
-        if len(entries) == full:
+        if len(seen) == 1 << l:
             break
-    return SyndromeTable(entries, max_weight)
+    # blocks come in enumeration order, so a key's first row is its correction
+    keys, image_keys, xz = (np.concatenate(c) for c in zip(*firsts))
+    keys, first = np.unique(keys, return_index=True)
+    return SyndromeTable(code, max_weight, keys, image_keys[first], xz[first], np.argsort(first))
 
 
 def residual_class(code: StabilizerCode, residual: PauliWord) -> Residual:
@@ -395,6 +425,6 @@ def export_code(code: StabilizerCode, table: SyndromeTable | None = None,
     if table is not None:
         doc["table"] = [
             {"syndrome": str(s), "correction": pauli.format_word(w)}
-            for s, w in sorted(table.entries.items(), key=lambda kv: kv[0].bits)
+            for s, w in table.items()
         ]
     return doc

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from stabkit import catalog, stabilizer
 from stabkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -171,3 +175,14 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_decode_table_shor_weight2_json_matches_golden(capsys):
+    # shor's weight-2 table is enumerated in another order than its keys
+    # sort in, so this pins the export's ascending-syndrome order
+    entries = stabilizer.build_syndrome_table(catalog.make_shor().code, 2).entries
+    assert list(entries) != sorted(entries, key=lambda s: s.bits)
+    code, out, _ = run_cli(capsys, "decode-table", "shor", "--max-weight", "2", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "shor_decode_table_w2.json").read_text()
+    assert len(json.loads(out)["table"]) == 148

@@ -169,7 +169,6 @@ def test_stream_runner_matches_scalar_trials(name, max_weight):
     else:
         code = catalog.by_name(name).code
     table = stab.build_syndrome_table(code, max_weight)
-    arrays = mc._CodeArrays(code, table)
     models = (Depolarizing(0.08), Depolarizing(0.02), BitFlip(0.1), PhaseFlip(0.1),
               IndependentXZ(0.1, 0.2, qubits=(0, min(2, code.n - 1))))
     for model in models:
@@ -180,7 +179,7 @@ def test_stream_runner_matches_scalar_trials(name, max_weight):
             sum(o is not TrialOutcome.SUCCESS for o in outcomes),
             sum(o is TrialOutcome.UNMATCHED_SYNDROME for o in outcomes),
         )
-        assert mc._run_stream(arrays, model, 600, (99, 0)) == scalar
+        assert mc._run_stream(code, table, model, 600, (99, 0)) == scalar
 
 
 def test_scalar_oracle_does_not_use_the_map(monkeypatch):
@@ -205,8 +204,6 @@ def test_float32_kernel_refuses_codes_past_its_exact_range(monkeypatch):
     table = stab.build_syndrome_table(bundle.code, 1)
     monkeypatch.setattr(stab, "_FLOAT32_EXACT", 10)
     with pytest.raises(ValueError, match="float32"):
-        mc._CodeArrays(bundle.code, table)
-    with pytest.raises(ValueError, match="float32"):
         mc.logical_error_rate(bundle.code, BitFlip(0.1), 100, seed=1, table=table)
     for query in (stab.validate, stab.distance, lambda code: stab.build_syndrome_table(code, 1)):
         with pytest.raises(ValueError, match="float32"):
@@ -216,6 +213,24 @@ def test_float32_kernel_refuses_codes_past_its_exact_range(monkeypatch):
     assert stab.validate(bundle.code) == []
     assert stab.distance(bundle.code) == 3
     assert stab.build_syndrome_table(bundle.code, 1).entries == table.entries
+
+
+def test_decoders_do_not_build_the_entries_dict():
+    code = catalog.make_shor().code
+    table = stab.build_syndrome_table(code, 2)
+    mc.logical_error_rate(code, Depolarizing(0.05), 1000, seed=1, table=table, workers=2)
+    rng = np.random.default_rng(0)
+    outcomes = {mc.run_trial(code, table, Depolarizing(0.2), rng) for _ in range(200)}
+    assert TrialOutcome.SUCCESS in outcomes and TrialOutcome.LOGICAL_ERROR in outcomes
+    assert "entries" not in vars(table)
+
+
+def test_logical_error_rate_refuses_another_codes_table():
+    # the table's image keys come from its own code's map
+    code = catalog.make_five_qubit().code
+    other = stab.StabilizerCode.from_strings("pairs", ["XXIII", "ZZIII", "IIXXI", "IIZZI"])
+    with pytest.raises(ValueError, match="built for pairs"):
+        mc.logical_error_rate(code, Depolarizing(0.05), 100, seed=1, table=stab.build_syndrome_table(other, 1))
 
 
 @pytest.mark.parametrize("shots,stream_size", [(0, 8192), (100, 0), (100, -5)])
@@ -270,6 +285,12 @@ def test_error_distribution_analytic_rejects_large_subset():
 def test_error_distribution_analytic_rejects_depolarizing():
     with pytest.raises(ValueError):
         mc.error_distribution_analytic(Depolarizing(0.1), (0,))
+
+
+def test_error_distribution_analytic_rejects_qubits_the_model_does_not_designate():
+    with pytest.raises(ValueError, match="designated"):
+        mc.error_distribution_analytic(IndependentXZ(0.1, 0.1, qubits=(0,)), (1, 2))
+    assert len(mc.error_distribution_analytic(IndependentXZ(0.1, 0.1, qubits=(0, 2)), (2,))) == 4
 
 
 @pytest.mark.parametrize("qubits", [(0, 0), (-1,), (2, -3)], ids=["repeated", "negative", "negative-second"])

@@ -381,6 +381,24 @@ def test_syndrome_table_matches_per_word_loop(name, max_weight):
     assert list(got.items()) == list(reference_table(code, max_weight).items())
 
 
+# planar:2x3 has 12 generators, so most of its 4096 syndromes miss the table
+@pytest.mark.parametrize("name,max_weight", [("planar:2x3", 1), ("five-qubit", 1), ("three-qubit-bit", 2)])
+def test_correction_lookup_matches_entries_on_every_syndrome(name, max_weight):
+    code = _code(name)
+    table = stab.build_syndrome_table(code, max_weight)
+    syndromes = [Syndrome(bits) for bits in itertools.product((0, 1), repeat=code.num_generators)]
+    got = [table.correction(s) for s in syndromes]
+    assert "entries" not in vars(table)  # lookups read the arrays
+    assert got == [table.entries.get(s) for s in syndromes]
+    assert len(table) == len(table.entries)
+    assert table.correction(Syndrome((0,) * (code.num_generators + 1))) is None
+
+
+def test_syndrome_table_refuses_negative_weight(five_qubit):
+    with pytest.raises(ValueError, match="max_weight"):
+        stab.build_syndrome_table(five_qubit, -1)
+
+
 @pytest.mark.parametrize("name", ["two-qubit", "five-qubit", "shor", "planar:2x3", "toric:3x3", "bell"])
 def test_distance_matches_per_word_loop(name):
     code = _code(name)
