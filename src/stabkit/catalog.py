@@ -11,23 +11,22 @@ distance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lattice as lattice_mod
 from . import pauli, stabilizer
+from ._record import Record
 from .pauli import PauliWord
 from .stabilizer import LogicalOperators, StabilizerCode
 from .statevec import PROJECTOR_ENCODER_MAX_QUBITS, Circuit, ProjectorEncoder
 
 
-@dataclass(frozen=True)
-class CodeBundle:
-    code: StabilizerCode
-    encoder: Circuit | ProjectorEncoder | None
-    logical: LogicalOperators
-    params: tuple[int, int, int]
-    rate: Fraction
+class CodeBundle(Record):
+    __slots__ = _fields = ("code", "encoder", "logical", "params", "rate")
+
+    def __init__(self, code: StabilizerCode, encoder: Circuit | ProjectorEncoder | None,
+                 logical: LogicalOperators, params: tuple[int, int, int], rate: Fraction):
+        self._fill(code, encoder, logical, params, rate)
 
     @property
     def name(self) -> str:

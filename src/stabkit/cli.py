@@ -35,16 +35,21 @@ def _parse_qubits(text: str | None) -> tuple[int, ...] | None:
 
 
 def _describe(bundle: catalog.CodeBundle, max_weight: int) -> dict:
-    code = bundle.code
-    table = stabilizer.build_syndrome_table(code, max_weight)
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(
-        stabilizer.export_code(
-            code, table=table, logicals=bundle.logical, dist=bundle.params[2]
-        )
-    )
-    doc["rate"] = f"{bundle.rate.numerator}/{bundle.rate.denominator}"
-    return doc
+    table = stabilizer.build_syndrome_table(bundle.code, max_weight)
+    return {
+        "schema_version": SCHEMA_VERSION,
+        **stabilizer.export_code(bundle.code, table=table, logicals=bundle.logical, dist=bundle.params[2]),
+        "rate": f"{bundle.rate.numerator}/{bundle.rate.denominator}",
+    }
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is '-'."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _cmd_codes(args) -> int:
@@ -97,12 +102,7 @@ def _cmd_simulate(args) -> int:
             "p,shots,logical_rate,stderr,seed",
             f"{args.p!r},{stats.shots},{stats.estimate!r},{stats.stderr!r},{stats.seed}",
         ]
-        text = "\n".join(lines) + "\n"
-        if args.csv == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.csv, "w") as fh:
-                fh.write(text)
+        _write(args.csv, "\n".join(lines) + "\n")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "code": bundle.name,
@@ -166,12 +166,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    lat = build_toric(args.rows, args.cols) if args.type == "toric" else build_planar(args.rows, args.cols)
-    bundle = (
-        catalog.make_toric(args.rows, args.cols)
-        if args.type == "toric"
-        else catalog.make_planar(args.rows, args.cols)
-    )
+    toric = args.type == "toric"
+    lat = (build_toric if toric else build_planar)(args.rows, args.cols)
+    bundle = (catalog.make_toric if toric else catalog.make_planar)(args.rows, args.cols)
     logical = logical_cycles(lat)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -197,12 +194,7 @@ def _cmd_lattice(args) -> int:
 def _cmd_emit_qasm(args) -> int:
     bundle = catalog.by_name(args.code)
     model = _noise_model(args.noise, args.p, args.p2, _parse_qubits(args.qubits))
-    program = qasm.emit_code_demo(bundle, model)
-    if args.output == "-":
-        sys.stdout.write(program.source)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(program.source)
+    _write(args.output, qasm.emit_code_demo(bundle, model).source)
     return 0
 
 

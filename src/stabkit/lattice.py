@@ -7,22 +7,24 @@ survivors. Orientations are irrelevant over Z2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2
+from ._record import Record
 from .gf2 import BitMatrix, BitVector
 from .pauli import PauliWord
 from .stabilizer import LogicalOperators
 
 
-@dataclass(frozen=True)
-class CellComplex:
-    n_vertices: int
-    edges: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
+class CellComplex(Record):
+    _fields = ("n_vertices", "edges", "faces")
+    __slots__ = _fields + ("__dict__",)  # the dict holds the cached boundaries
+
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, ...], ...],
+                 faces: tuple[tuple[int, ...], ...]):
+        self._fill(n_vertices, edges, faces)
 
     @cached_property
     def boundary1(self) -> BitMatrix:
@@ -85,14 +87,15 @@ def dual_complex(c: CellComplex) -> CellComplex:
     )
 
 
-@dataclass(frozen=True)
-class Lattice:
-    rows: int
-    cols: int
-    boundary_kind: str  # "toric" | "planar"
-    complex: CellComplex
-    dual: CellComplex
-    qubit_edges: tuple[int, ...]  # edge index -> qubit index
+class Lattice(Record):
+    """`boundary_kind` is "toric" or "planar"; `qubit_edges` maps edge index
+    to qubit index."""
+
+    __slots__ = _fields = ("rows", "cols", "boundary_kind", "complex", "dual", "qubit_edges")
+
+    def __init__(self, rows: int, cols: int, boundary_kind: str, complex: CellComplex,
+                 dual: CellComplex, qubit_edges: tuple[int, ...]):
+        self._fill(rows, cols, boundary_kind, complex, dual, qubit_edges)
 
     @property
     def n_qubits(self) -> int:

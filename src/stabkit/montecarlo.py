@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
+from ._record import Record
 from .gf2 import BitVector
 from .pauli import PauliWord
 from .stabilizer import StabilizerCode, SyndromeTable, build_syndrome_table
@@ -25,39 +25,44 @@ RNG_NAME = "pcg64-seedseq(seed,stream)"
 DEFAULT_STREAM_SIZE = 8192
 
 
-@dataclass(frozen=True)
-class BitFlip:
-    p: float
+class _OneCoin(Record):
+    __slots__ = _fields = ("p",)
+
+    def __init__(self, p: float):
+        self._fill(p)
 
 
-@dataclass(frozen=True)
-class PhaseFlip:
-    p: float
+class BitFlip(_OneCoin):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Depolarizing:
+class PhaseFlip(_OneCoin):
+    __slots__ = ()
+
+
+class Depolarizing(_OneCoin):
     """Any single Pauli with probability p per qubit, split evenly X/Y/Z."""
 
-    p: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IndependentXZ:
+class IndependentXZ(Record):
     """Independent X and Z coins per qubit; `qubits` restricts the coins to
     a designated subset (None means all qubits)."""
 
-    p_x: float
-    p_z: float
-    qubits: tuple[int, ...] | None = None
+    __slots__ = _fields = ("p_x", "p_z", "qubits")
+
+    def __init__(self, p_x: float, p_z: float, qubits: tuple[int, ...] | None = None):
+        self._fill(p_x, p_z, qubits)
 
 
 NoiseModel = BitFlip | PhaseFlip | Depolarizing | IndependentXZ
 
 
 def _validate_model(model: NoiseModel, n: int | None = None) -> None:
-    """Reject probabilities outside [0, 1] and designated qubits that are
-    negative, repeated, or >= n when n is given."""
+    """Reject probabilities outside [0, 1], an empty designated-qubit list
+    (None means all qubits), and designated qubits that are negative,
+    repeated, or >= n when n is given."""
     probs = (
         (model.p,) if not isinstance(model, IndependentXZ) else (model.p_x, model.p_z)
     )
@@ -65,6 +70,8 @@ def _validate_model(model: NoiseModel, n: int | None = None) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0, 1]")
     if getattr(model, "qubits", None) is not None:
+        if not model.qubits:
+            raise ValueError("the designated qubit list is empty")
         _check_qubits(model.qubits, n)
 
 
@@ -149,20 +156,18 @@ def run_trial(
     return decode_outcome(code, table, sample_error(model, code.n, rng))
 
 
-@dataclass(frozen=True)
-class MCStats:
+class MCStats(Record):
     """count_logical folds in unmatched-syndrome trials (conservative);
     count_unmatched reports that subset separately."""
 
-    shots: int
-    count_success: int
-    count_logical: int
-    count_unmatched: int
-    estimate: float
-    stderr: float
-    seed: int
-    rng: str = RNG_NAME
-    stream_size: int = DEFAULT_STREAM_SIZE
+    __slots__ = _fields = ("shots", "count_success", "count_logical", "count_unmatched",
+                           "estimate", "stderr", "seed", "rng", "stream_size")
+
+    def __init__(self, shots: int, count_success: int, count_logical: int, count_unmatched: int,
+                 estimate: float, stderr: float, seed: int, rng: str = RNG_NAME,
+                 stream_size: int = DEFAULT_STREAM_SIZE):
+        self._fill(shots, count_success, count_logical, count_unmatched, estimate, stderr, seed,
+                   rng, stream_size)
 
 
 def _run_stream(code: StabilizerCode, table: SyndromeTable, model: NoiseModel, size: int,
@@ -188,8 +193,8 @@ def logical_error_rate(
 ) -> MCStats:
     """Estimate the logical error rate with `shots` decode-and-correct
     trials; deterministic for a given seed regardless of worker count."""
-    if shots < 1 or stream_size < 1:
-        raise ValueError("shots and stream_size must be >= 1")
+    if shots < 1 or stream_size < 1 or workers < 1:
+        raise ValueError("shots, stream_size and workers must be >= 1")
     _validate_model(model, code.n)
     if table is None:
         table = build_syndrome_table(code, 1)
@@ -207,16 +212,7 @@ def logical_error_rate(
     success, logical, unmatched = (sum(counts) for counts in zip(*results))
     rate = logical / shots
     stderr = math.sqrt(rate * (1.0 - rate) / shots)
-    return MCStats(
-        shots=shots,
-        count_success=success,
-        count_logical=logical,
-        count_unmatched=unmatched,
-        estimate=rate,
-        stderr=stderr,
-        seed=seed,
-        stream_size=stream_size,
-    )
+    return MCStats(shots, success, logical, unmatched, rate, stderr, seed, stream_size=stream_size)
 
 
 MAX_ANALYTIC_COINS = 8

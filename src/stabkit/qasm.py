@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from . import pauli
+from ._record import Record
 from .montecarlo import NoiseModel, _noise_coins
 from .stabilizer import build_syndrome_table
 from .statevec import Circuit, Op
@@ -30,11 +30,11 @@ def noise_angle(p: float) -> float:
     return math.asin(2.0 * p - 1.0)
 
 
-@dataclass(frozen=True)
-class Register:
-    name: str
-    start: int
-    size: int
+class Register(Record):
+    __slots__ = _fields = ("name", "start", "size")
+
+    def __init__(self, name: str, start: int, size: int):
+        self._fill(name, start, size)
 
     def locate(self, flat: int) -> str | None:
         if self.start <= flat < self.start + self.size:
@@ -42,11 +42,12 @@ class Register:
         return None
 
 
-@dataclass(frozen=True)
-class QasmProgram:
-    source: str
-    qubit_registers: tuple[Register, ...]
-    classical_registers: tuple[Register, ...]
+class QasmProgram(Record):
+    __slots__ = _fields = ("source", "qubit_registers", "classical_registers")
+
+    def __init__(self, source: str, qubit_registers: tuple[Register, ...],
+                 classical_registers: tuple[Register, ...]):
+        self._fill(source, qubit_registers, classical_registers)
 
     def __str__(self) -> str:
         return self.source
@@ -160,19 +161,10 @@ def build_code_demo(bundle, model: NoiseModel) -> tuple[Circuit, tuple[Register,
     coins = _noise_coins(model, n=n)
     n_coins = len(coins)
     l = code.num_generators
-    qregs = (
-        Register("q", 0, n),
-        Register("na", n, n_coins),
-        Register("sa", n + n_coins, l),
-    )
-    cregs = (
-        Register("nc", 0, n_coins),
-        Register("s", n_coins, l),
-        Register("c", n_coins + l, n),
-    )
+    qregs = (Register("q", 0, n), Register("na", n, n_coins), Register("sa", n + n_coins, l))
+    cregs = (Register("nc", 0, n_coins), Register("s", n_coins, l), Register("c", n_coins + l, n))
     circ = Circuit(n + n_coins + l, n_classical=n_coins + l + n)
-    for op in bundle.encoder.ops:
-        circ.ops.append(op)
+    circ.ops.extend(bundle.encoder.ops)
     for j, (letter, q, prob) in enumerate(coins):
         anc = n + j
         circ.h(anc)

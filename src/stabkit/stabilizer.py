@@ -8,13 +8,13 @@ generators, and residual classification only needs membership up to phase.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2, pauli
+from ._record import Record
 from .gf2 import BitMatrix, BitVector
 from .pauli import PauliWord
 
@@ -25,12 +25,14 @@ class Residual(Enum):
     DETECTABLE = "Detectable"
 
 
-@dataclass(frozen=True)
-class Syndrome:
+class Syndrome(Record):
     """Anticommutation pattern against the generator list; bit i belongs to
     generator i and is printed leftmost-first."""
 
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("bits",)
+
+    def __init__(self, bits: tuple[int, ...]):
+        self._fill(bits)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -42,11 +44,13 @@ class Syndrome:
         return not any(self.bits)
 
 
-@dataclass(frozen=True)
-class LogicalOperators:
+class LogicalOperators(Record):
     """One (X-like, Z-like) pair per logical qubit."""
 
-    pairs: tuple[tuple[PauliWord, PauliWord], ...]
+    __slots__ = _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[PauliWord, PauliWord], ...]):
+        self._fill(pairs)
 
     def violations(self, code: "StabilizerCode") -> list[str]:
         out = []
@@ -333,21 +337,22 @@ def distance(code: StabilizerCode, max_search_weight: int = 4) -> int | None:
     return None
 
 
-@dataclass(eq=False)
-class SyndromeTable:
+class SyndromeTable(Record):
     """The minimal-weight lookup table of `code`, as arrays sorted by syndrome
     key (`_row_keys`, which sorts like the syndrome bits). Row i holds key i's
     correction as packed x and z halves, and the key of its whole image
     (`StabilizerCode.keys_of`); `order` lists the rows in enumeration order.
     The MC kernel, `decode_outcome` and the exports read the arrays;
-    `entries` (the dict in enumeration order) is built on first read."""
+    `entries` (the dict in enumeration order) is built on first read. Tables
+    compare by identity."""
 
-    code: StabilizerCode
-    max_weight: int
-    keys: np.ndarray
-    image_keys: np.ndarray
-    xz: np.ndarray
-    order: np.ndarray
+    _fields = ("code", "max_weight", "keys", "image_keys", "xz", "order")
+    __slots__ = _fields + ("__dict__",)  # the dict holds `entries`
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, code: StabilizerCode, max_weight: int, keys: np.ndarray,
+                 image_keys: np.ndarray, xz: np.ndarray, order: np.ndarray):
+        self._fill(code, max_weight, keys, image_keys, xz, order)
 
     def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row of each syndrome key, and whether the table holds that key."""

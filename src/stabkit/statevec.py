@@ -7,10 +7,10 @@ checked through fidelity, never amplitude-wise, to stay global-phase blind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .pauli import PauliWord
 from .stabilizer import Syndrome
 
@@ -53,17 +53,18 @@ def pauli_word_matrix(word: PauliWord) -> np.ndarray:
     return (1j ** word.phase) * m
 
 
-@dataclass(frozen=True)
-class Op:
-    kind: str
-    targets: tuple[int, ...] = ()
-    controls: tuple[int, ...] = ()
-    angle: float | None = None
-    pauli: PauliWord | None = None
-    classical_bit: int | None = None
-    # condition = (classical bit indices, required integer value); the bit
-    # at position k of the tuple is the 2^k digit.
-    condition: tuple[tuple[int, ...], int] | None = None
+class Op(Record):
+    """One circuit step. `condition` is (classical bit indices, required
+    integer value); the bit at position k of the tuple is the 2^k digit."""
+
+    __slots__ = _fields = ("kind", "targets", "controls", "angle", "pauli", "classical_bit",
+                           "condition")
+
+    def __init__(self, kind: str, targets: tuple[int, ...] = (), controls: tuple[int, ...] = (),
+                 angle: float | None = None, pauli: PauliWord | None = None,
+                 classical_bit: int | None = None,
+                 condition: tuple[tuple[int, ...], int] | None = None):
+        self._fill(kind, targets, controls, angle, pauli, classical_bit, condition)
 
 
 class Circuit:
@@ -188,13 +189,15 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-@dataclass
 class MeasurementRecord:
-    """Outcomes of the measurements executed by one apply() call."""
+    """Outcomes of the measurements executed by one apply() call;
+    `probability` is the joint Born probability of the taken branch."""
 
-    bits: dict[int, int] = field(default_factory=dict)
-    outcomes: list[int] = field(default_factory=list)
-    probability: float = 1.0  # joint Born probability of the taken branch
+    def __init__(self, bits: dict[int, int] | None = None, outcomes: list[int] | None = None,
+                 probability: float = 1.0):
+        self.bits = {} if bits is None else bits
+        self.outcomes = [] if outcomes is None else outcomes
+        self.probability = probability
 
 
 def _view(state: StateVector) -> np.ndarray:
@@ -441,8 +444,7 @@ def swap_test_expectation(a: StateVector, b: StateVector) -> float:
     return p0 - (1.0 - p0)
 
 
-@dataclass(frozen=True)
-class ProjectorEncoder:
+class ProjectorEncoder(Record):
     """State-preparation encoder for codes without a gate-level circuit.
 
     Builds logical basis states by projecting |0...0> onto the stabilizer
@@ -450,9 +452,10 @@ class ProjectorEncoder:
     logical X words for each basis label.
     """
 
-    n: int
-    generators: tuple[PauliWord, ...]
-    logical_x: tuple[PauliWord, ...]
+    __slots__ = _fields = ("n", "generators", "logical_x")
+
+    def __init__(self, n: int, generators: tuple[PauliWord, ...], logical_x: tuple[PauliWord, ...]):
+        self._fill(n, generators, logical_x)
 
     def logical_basis(self) -> list[StateVector]:
         if self.n > PROJECTOR_ENCODER_MAX_QUBITS:

@@ -171,6 +171,26 @@ def test_noise_flags_are_checked_not_dropped(capsys, command, noise, flag, messa
     assert code == 1 and out == "" and message in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "emit-qasm"])
+@pytest.mark.parametrize("qubits", ["", ","], ids=["empty", "comma"])
+def test_empty_qubit_list_exits_1(capsys, command, qubits):
+    extra = ["--shots", "100"] if command == "simulate" else ["-o", "-"]
+    code, out, err = run_cli(
+        capsys, command, "--code", "shor", "--noise", "independent-xz", "--p", "0.1",
+        "--qubits", qubits, *extra,
+    )
+    assert code == 1 and out == "" and "designated qubit list is empty" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_rejects_workers_below_one(capsys, workers):
+    code, out, err = run_cli(
+        capsys, "simulate", "--code", "shor", "--noise", "bit-flip", "--p", "0.1",
+        "--shots", "100", f"--workers={workers}",
+    )
+    assert code == 1 and out == "" and "must be >= 1" in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

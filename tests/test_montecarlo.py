@@ -65,6 +65,15 @@ def test_repeated_designated_qubits_rejected(qubits):
         mc.logical_error_rate(catalog.make_shor().code, model, 100, seed=0)
 
 
+def test_empty_designated_qubit_list_rejected():
+    # None means all qubits; an empty tuple designates none and is an error
+    model = IndependentXZ(0.1, 0.1, qubits=())
+    with pytest.raises(ValueError, match="designated qubit list is empty"):
+        mc.logical_error_rate(catalog.make_shor().code, model, 100, seed=0)
+    with pytest.raises(ValueError, match="designated qubit list is empty"):
+        mc.sample_error(model, 4, np.random.default_rng(0))
+
+
 def test_decode_outcomes_three_qubit():
     bundle = catalog.make_three_qubit_bit()
     table = stab.build_syndrome_table(bundle.code, 1)
@@ -233,11 +242,14 @@ def test_logical_error_rate_refuses_another_codes_table():
         mc.logical_error_rate(code, Depolarizing(0.05), 100, seed=1, table=stab.build_syndrome_table(other, 1))
 
 
-@pytest.mark.parametrize("shots,stream_size", [(0, 8192), (100, 0), (100, -5)])
-def test_rejects_empty_runs_and_streams(shots, stream_size):
+@pytest.mark.parametrize("shots,stream_size,workers", [
+    (0, 8192, 1), (100, 0, 1), (100, -5, 1), (100, 8192, 0), (100, 8192, -2),
+], ids=["0-8192", "100-0", "100--5", "workers-0", "workers--2"])
+def test_rejects_empty_runs_and_streams(shots, stream_size, workers):
     bundle = catalog.make_five_qubit()
     with pytest.raises(ValueError, match="must be >= 1"):
-        mc.logical_error_rate(bundle.code, BitFlip(0.1), shots, seed=1, stream_size=stream_size)
+        mc.logical_error_rate(bundle.code, BitFlip(0.1), shots, seed=1, stream_size=stream_size,
+                              workers=workers)
 
 
 def test_five_qubit_weight1_table_never_unmatched():
