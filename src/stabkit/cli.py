@@ -111,6 +111,8 @@ def _cmd_simulate(args) -> int:
         "shots": stats.shots,
         "logical_rate": stats.estimate,
         "stderr": stats.stderr,
+        "ci_low": stats.ci_low,
+        "ci_high": stats.ci_high,
         "count_success": stats.count_success,
         "count_logical": stats.count_logical,
         "count_unmatched": stats.count_unmatched,
@@ -123,7 +125,8 @@ def _cmd_simulate(args) -> int:
     elif not args.csv:
         print(
             f"{bundle.name} {args.noise} p={args.p}: logical rate "
-            f"{stats.estimate:.6f} +- {stats.stderr:.6f} ({stats.shots} shots, "
+            f"{stats.estimate:.6f} +- {stats.stderr:.6f}, 95% CI [{stats.ci_low:.6f}, "
+            f"{stats.ci_high:.6f}] ({stats.shots} shots, "
             f"{stats.count_unmatched} unmatched, seed {stats.seed})"
         )
     return 0

@@ -5,7 +5,10 @@ stream i uses numpy's PCG64 seeded from SeedSequence([seed, i]). Stream
 counts are summed, so the result is bit-identical for any worker count.
 A trial consumes one uniform block of shape (n,) for single-coin models or
 (2, n) for IndependentXZ, which keeps the scalar and vectorized paths on
-the same random stream.
+the same random stream. A stream is drawn and decoded block by block, at
+most `stabilizer._BLOCK_ROWS` trials at a time; consecutive draws give the
+same uniforms as one large draw, so the block size is not part of the
+contract and bounds a stream's memory whatever its size.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import numpy as np
 from ._record import Record
 from .gf2 import BitVector
 from .pauli import PauliWord
+from . import stabilizer
 from .stabilizer import StabilizerCode, SyndromeTable, build_syndrome_table
 
 RNG_NAME = "pcg64-seedseq(seed,stream)"
@@ -169,17 +173,32 @@ class MCStats(Record):
         self._fill(shots, count_success, count_logical, count_unmatched, estimate, stderr, seed,
                    rng, stream_size)
 
+    # the 95% Wilson score interval of the logical rate, above 0 even when no shot fails
+    ci_low = property(lambda self: _wilson(self.count_logical, self.shots)[0])
+    ci_high = property(lambda self: _wilson(self.count_logical, self.shots)[1])
+
+
+def _wilson(k: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval of k failures in n shots (z: the two-sided normal quantile)."""
+    z = 1.959963984540054
+    center, half = k + z * z / 2, z * math.sqrt(k * (n - k) / n + z * z / 4)
+    return max(0.0, (center - half) / (n + z * z)), min(1.0, (center + half) / (n + z * z))
+
 
 def _run_stream(code: StabilizerCode, table: SyndromeTable, model: NoiseModel, size: int,
                 seed_pair: tuple[int, int]) -> tuple[int, int, int]:
-    """(success, logical, unmatched) counts for one derived stream; a matched
-    shot succeeds iff its image equals its correction's (`StabilizerCode.images`)."""
-    rng = np.random.default_rng(list(seed_pair))
-    bits = _sample_bits(model, code.n, rng.random((size,) + _uniform_shape(model, code.n)))
-    keys, image_keys = code.keys_of(np.concatenate(bits, axis=1, dtype=np.float32))
-    rows, matched = table.find(keys)
-    n_success = int((matched & (table.image_keys[rows] == image_keys)).sum())
-    return n_success, size - n_success, size - int(matched.sum())
+    """(success, logical, unmatched) counts for one derived stream, decoded in
+    blocks of `stabilizer._BLOCK_ROWS` shots; a matched shot succeeds iff its
+    image equals its correction's (`StabilizerCode.images`)."""
+    rng, block = np.random.default_rng(list(seed_pair)), stabilizer._BLOCK_ROWS
+    shape, n_success, n_matched = _uniform_shape(model, code.n), 0, 0
+    for lo in range(0, size, block):
+        bits = _sample_bits(model, code.n, rng.random((min(block, size - lo),) + shape))
+        keys, image_keys = code.keys_of(np.concatenate(bits, axis=1, dtype=np.float32))
+        rows, matched = table.find(keys)
+        n_success += int((matched & (table.image_keys[rows] == image_keys)).sum())
+        n_matched += int(matched.sum())
+    return n_success, size - n_success, size - n_matched
 
 
 def logical_error_rate(

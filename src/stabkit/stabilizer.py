@@ -278,9 +278,11 @@ def _quotient_basis(vectors: list[BitVector], rs: gf2.RowSpace) -> list[BitVecto
     return [rref.row(i) for i in range(len(pivots))]
 
 
-# rows per block of _word_blocks: bounds the memory of a batch query
-# (weight 4 on toric:4x4 alone is 2.9M words)
-_BLOCK_ROWS = 1 << 14
+# rows per block of every batch product through StabilizerCode.images: the
+# words of _word_blocks (table build, distance) and the shots of
+# montecarlo._run_stream. It bounds their memory (weight 4 on toric:4x4 alone
+# is 2.9M words); 1 << 10 made mc_lattice benchmark runs 18% longer (CHANGES.md).
+_BLOCK_ROWS = 1 << 11
 
 
 def _word_blocks(n: int, min_weight: int, max_weight: int):

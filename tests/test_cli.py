@@ -115,6 +115,17 @@ def test_simulate_text_reports_unmatched(capsys):
     assert f"(2000 shots, {unmatched} unmatched, seed 5)" in out
 
 
+def test_simulate_reports_a_nonzero_interval_at_zero_failures(capsys):
+    argv = ["simulate", "--code", "five-qubit", "--noise", "depolarizing",
+            "--p", "0.0001", "--shots", "10000"]
+    _, out, _ = run_cli(capsys, *argv)
+    _, doc, _ = run_cli(capsys, *argv, "--json")
+    doc = json.loads(doc)
+    assert doc["count_logical"] == 0 and doc["stderr"] == 0.0
+    assert doc["ci_low"] == 0.0 and doc["ci_high"] == pytest.approx(3.84e-4, rel=1e-3)
+    assert "0.000000 +- 0.000000, 95% CI [0.000000, 0.000384]" in out
+
+
 def test_simulate_csv(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,82 @@ def test_stream_runner_matches_scalar_trials(name, max_weight):
             sum(o is TrialOutcome.UNMATCHED_SYNDROME for o in outcomes),
         )
         assert mc._run_stream(code, table, model, 600, (99, 0)) == scalar
+
+
+# shot streams and word enumerations run in blocks of stabilizer._BLOCK_ROWS
+# rows; 7 splits every stream below into blocks, 1 << 14 leaves each whole
+BLOCK_SIZES = (7, 1 << 14, stab._BLOCK_ROWS)
+
+
+def _at_each_block_size(monkeypatch, run):
+    results = []
+    for rows in BLOCK_SIZES:
+        monkeypatch.setattr(stab, "_BLOCK_ROWS", rows)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("stream_size", [1, 6, 7, 8, 26, 8192])
+def test_stream_counts_do_not_depend_on_the_block_size(monkeypatch, stream_size):
+    code = catalog.make_shor().code
+    table = stab.build_syndrome_table(code, 1)
+    models = (BitFlip(0.1), PhaseFlip(0.1), Depolarizing(0.1), IndependentXZ(0.1, 0.2),
+              IndependentXZ(0.2, 0.3, qubits=(0, 4, 8)))
+    shots = min(2 * stream_size + 3, 8192)  # a partial last stream, or one full one
+
+    def run():
+        return [mc.logical_error_rate(code, model, shots, seed=3, table=table, workers=w,
+                                      stream_size=stream_size)
+                for model in models for w in (1, 2)]
+
+    small, whole, default = _at_each_block_size(monkeypatch, run)
+    assert small == whole == default
+    assert any(s.count_unmatched for s in whole) and all(s.count_success for s in whole)
+
+
+@pytest.mark.parametrize("name", ["shor", "toric:3x3"])
+def test_tables_and_distance_do_not_depend_on_the_block_size(monkeypatch, name):
+    code = catalog.by_name(name).code
+
+    def run():
+        tables = [stab.build_syndrome_table(code, w) for w in (1, 2)]
+        arrays = [(t.keys, t.image_keys, t.xz, t.order) for t in tables]
+        return [a.tobytes() for four in arrays for a in four], stab.distance(code, 3)
+
+    small, whole, default = _at_each_block_size(monkeypatch, run)
+    assert small == whole == default
+    assert whole[1] == 3
+
+
+def test_stream_memory_does_not_grow_with_its_size():
+    code = catalog.by_name("toric:6x6").code
+    table = stab.build_syndrome_table(code, 1)
+    mc._run_stream(code, table, Depolarizing(0.02), 10, (1, 0))  # builds the code's map
+    peaks = []
+    for shots in (8192, 32768):
+        tracemalloc.start()
+        mc._run_stream(code, table, Depolarizing(0.02), shots, (1, 0))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # about 3.9 MB at 2048-row blocks; a whole 8192-shot stream peaked at 15 MB
+    assert peaks[0] < 6e6
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+
+
+def test_wilson_interval_against_its_closed_form():
+    z = 1.959963984540054
+    assert mc._wilson(0, 10_000) == (0.0, pytest.approx(z * z / (10_000 + z * z)))
+    assert mc._wilson(0, 10_000)[1] == pytest.approx(3.84e-4, rel=1e-3)
+    assert mc._wilson(10_000, 10_000) == (pytest.approx(10_000 / (10_000 + z * z)), 1.0)
+    # textbook form in the estimate: (p + z^2/2n -+ z sqrt(p(1-p)/n + z^2/4n^2)) / (1 + z^2/n)
+    k, n = 37, 1000
+    p = k / n
+    center, half = p + z * z / (2 * n), z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
+    want = ((center - half) / (1 + z * z / n), (center + half) / (1 + z * z / n))
+    assert mc._wilson(k, n) == pytest.approx(want)
+    stats = mc.MCStats(n, n - k, k, 0, p, math.sqrt(p * (1 - p) / n), 1)
+    assert (stats.ci_low, stats.ci_high) == pytest.approx(want)
+    assert stats.ci_low < stats.estimate < stats.ci_high
 
 
 def test_scalar_oracle_does_not_use_the_map(monkeypatch):
