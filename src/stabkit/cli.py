@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import analytic, catalog, montecarlo, pauli, qasm, stabilizer
-from .lattice import build_planar, build_toric, homology_rank, logical_cycles
+from .lattice import build_planar, build_toric, homology_rank
 
 SCHEMA_VERSION = 1
 
@@ -172,7 +172,6 @@ def _cmd_lattice(args) -> int:
     toric = args.type == "toric"
     lat = (build_toric if toric else build_planar)(args.rows, args.cols)
     bundle = (catalog.make_toric if toric else catalog.make_planar)(args.rows, args.cols)
-    logical = logical_cycles(lat)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type": args.type,
@@ -182,8 +181,8 @@ def _cmd_lattice(args) -> int:
         "generators": bundle.code.num_generators,
         "k": bundle.code.num_logical_qubits(),
         "h1_rank": homology_rank(lat.complex, 1),
-        "logical_x": [pauli.format_product(x) for x, _ in logical.pairs],
-        "logical_z": [pauli.format_product(z) for _, z in logical.pairs],
+        "logical_x": [pauli.format_product(x) for x, _ in bundle.logical.pairs],
+        "logical_z": [pauli.format_product(z) for _, z in bundle.logical.pairs],
     }
     if args.json:
         print(json.dumps(doc, indent=2))

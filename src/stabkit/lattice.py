@@ -4,6 +4,16 @@ Edges are stored as tuples of incident vertices. In relative complexes
 (planar codes, where the rough-boundary columns are quotiented away) an
 edge may keep fewer than two endpoints; its boundary is the sum of the
 survivors. Orientations are irrelevant over Z2.
+
+Both lattices are a product X x Y of two 1-D complexes, each given as a
+vertex count and its edges' endpoint tuples. Toric is cycle(m) x cycle(n);
+planar is path(m) x path(n) relative to its two end vertices (the rough
+boundary). Vertices are X0 x Y0. Edges are the horizontals X0 x Y1 and the
+verticals X1 x Y0, row by row, each row's horizontals first. Faces are
+X1 x Y1, with boundary d(a x b) = da x b + a x db. The logical pairs come
+from Kuenneth, H1 = H0(X) x H1(Y) + H1(X) x H0(Y): for each closed factor,
+Z runs along its cycle at the other factor's vertex 0, and X sits on its
+edge 0 at every vertex of the other factor.
 """
 from __future__ import annotations
 
@@ -89,7 +99,7 @@ def dual_complex(c: CellComplex) -> CellComplex:
 
 class Lattice(Record):
     """`boundary_kind` is "toric" or "planar"; `qubit_edges` maps edge index
-    to qubit index."""
+    to qubit index and is the identity for both builders."""
 
     __slots__ = _fields = ("rows", "cols", "boundary_kind", "complex", "dual", "qubit_edges")
 
@@ -102,80 +112,56 @@ class Lattice(Record):
         return len(self.qubit_edges)
 
 
-# toric edge indexing: row blocks of n horizontals then n verticals
-def _th(m: int, n: int, r: int, c: int) -> int:
-    return 2 * n * (r % m) + (c % n)
+def _factors(m: int, n: int, kind: str):
+    """The row factor X and the column factor Y of an m x n lattice."""
+    if kind == "toric":
+        return tuple((k, tuple((i, (i + 1) % k) for i in range(k))) for k in (m, n))
+    path = (m + 1, tuple((i, i + 1) for i in range(m)))
+    # path of n edges with both end vertices dropped; vertex c is old vertex c + 1
+    relative = (n - 1, tuple(tuple(v for v in (c - 1, c) if 0 <= v < n - 1) for c in range(n)))
+    return path, relative
 
 
-def _tv(m: int, n: int, r: int, c: int) -> int:
-    return 2 * n * (r % m) + n + (c % n)
+def _h(y, a: int, b: int) -> int:
+    """Edge id of the horizontal edge a x b: vertex a of X, edge b of Y."""
+    return a * (y[0] + len(y[1])) + b
+
+
+def _v(y, a: int, c: int) -> int:
+    """Edge id of the vertical edge a x c: edge a of X, vertex c of Y."""
+    return a * (y[0] + len(y[1])) + len(y[1]) + c
+
+
+def _product(m: int, n: int, kind: str) -> Lattice:
+    x, y = _factors(m, n, kind)
+    (nx, x_edges), (ny, y_edges) = x, y
+    edges: list[tuple[int, ...]] = []
+    for a in range(nx):  # X has as many vertices as edges, or one more
+        edges += [tuple(a * ny + c for c in ends) for ends in y_edges]
+        if a < len(x_edges):
+            edges += [tuple(u * ny + c for u in x_edges[a]) for c in range(ny)]
+    faces = tuple(
+        tuple(_h(y, u, b) for u in a_ends) + tuple(_v(y, a, c) for c in b_ends)
+        for a, a_ends in enumerate(x_edges)
+        for b, b_ends in enumerate(y_edges)
+    )
+    cx = CellComplex(nx * ny, tuple(edges), faces)
+    return Lattice(m, n, kind, cx, dual_complex(cx), tuple(range(len(edges))))
 
 
 def build_toric(m: int, n: int) -> Lattice:
     """Periodic m x n lattice; 2mn edge qubits, mn faces, mn vertices."""
     if m < 2 or n < 2:
         raise ValueError("toric lattice needs m, n >= 2 (smaller sizes produce repeated edges)")
-    vid = lambda r, c: (r % m) * n + (c % n)
-    edges: list[tuple[int, ...]] = [()] * (2 * m * n)
-    for r in range(m):
-        for c in range(n):
-            edges[_th(m, n, r, c)] = (vid(r, c), vid(r, c + 1))
-            edges[_tv(m, n, r, c)] = (vid(r, c), vid(r + 1, c))
-    faces = []
-    for r in range(m):
-        for c in range(n):
-            faces.append((
-                _th(m, n, r, c),
-                _tv(m, n, r, c + 1),
-                _th(m, n, r + 1, c),
-                _tv(m, n, r, c),
-            ))
-    cx = CellComplex(m * n, tuple(edges), tuple(faces))
-    return Lattice(m, n, "toric", cx, dual_complex(cx), tuple(range(2 * m * n)))
-
-
-# planar edge indexing: row blocks of n horizontals then n-1 interior verticals
-def _ph(n: int, r: int, c: int) -> int:
-    return r * (2 * n - 1) + c
-
-
-def _pv(n: int, r: int, c: int) -> int:
-    return r * (2 * n - 1) + n + (c - 1)
+    return _product(m, n, "toric")
 
 
 def build_planar(m: int, n: int) -> Lattice:
     """Open m x n lattice with qubits on every edge except the vertical
-    boundary edges; the rough-boundary columns are quotiented away, so the
-    stored complex is the relative one."""
+    boundary edges, which the relative complex quotients away."""
     if m < 1 or n < 1:
         raise ValueError("planar lattice needs m, n >= 1")
-    n_qubits = 2 * m * n + n - m
-
-    def vid(r: int, c: int) -> int | None:
-        # surviving (interior-column) vertices only
-        if 1 <= c <= n - 1:
-            return r * (n - 1) + (c - 1)
-        return None
-
-    edges: list[tuple[int, ...]] = [()] * n_qubits
-    for r in range(m + 1):
-        for c in range(n):
-            ends = tuple(v for v in (vid(r, c), vid(r, c + 1)) if v is not None)
-            edges[_ph(n, r, c)] = ends
-    for r in range(m):
-        for c in range(1, n):
-            edges[_pv(n, r, c)] = (vid(r, c), vid(r + 1, c))
-    faces = []
-    for r in range(m):
-        for c in range(n):
-            face = [_ph(n, r, c), _ph(n, r + 1, c)]
-            if c >= 1:
-                face.append(_pv(n, r, c))
-            if c + 1 <= n - 1:
-                face.append(_pv(n, r, c + 1))
-            faces.append(tuple(face))
-    cx = CellComplex((m + 1) * (n - 1), tuple(edges), tuple(faces))
-    return Lattice(m, n, "planar", cx, dual_complex(cx), tuple(range(n_qubits)))
+    return _product(m, n, "planar")
 
 
 def _word_on_edges(n_qubits: int, edge_ids, letter: str) -> PauliWord:
@@ -203,27 +189,15 @@ def stabilizers_from_lattice(lat: Lattice) -> list[PauliWord]:
 
 
 def logical_cycles(lat: Lattice) -> LogicalOperators:
-    """Canonical logical pairs from non-bounding cycles.
-
-    Toric: two pairs, routed through row 0 and column 0, of weight m, n,
-    m and n. Planar: one pair, the row-0 horizontal Z chain
-    (weight n) and the column-0 vertical dual X chain, which crosses the
-    m+1 horizontal edges of column 0.
-    """
-    m, n, nq = lat.rows, lat.cols, lat.n_qubits
-    if lat.boundary_kind == "toric":
-        z_row = [_th(m, n, 0, c) for c in range(n)]           # primal cycle c_h
-        z_col = [_tv(m, n, r, 0) for r in range(m)]           # primal cycle c_v
-        x_col = [_th(m, n, r, 0) for r in range(m)]           # dual cycle d_v
-        x_row = [_tv(m, n, 0, c) for c in range(n)]           # dual cycle d_h
-        pairs = (
-            (_word_on_edges(nq, x_col, "X"), _word_on_edges(nq, z_row, "Z")),
-            (_word_on_edges(nq, x_row, "X"), _word_on_edges(nq, z_col, "Z")),
-        )
-        return LogicalOperators(pairs)
-    z_row = [_ph(n, 0, c) for c in range(n)]
-    x_col = [_ph(n, r, 0) for r in range(m + 1)]
-    return LogicalOperators(((
-        _word_on_edges(nq, x_col, "X"),
-        _word_on_edges(nq, z_row, "Z"),
-    ),))
+    """Canonical logical pairs by Kuenneth, Y's pair first: toric has two, of
+    weight m, n, m and n; planar has one, X of weight m+1 and Z of weight n."""
+    x, y = _factors(lat.rows, lat.cols, lat.boundary_kind)
+    nq = lat.n_qubits
+    pairs = []
+    # a pair for each factor f whose edges sum to a (relative) cycle;
+    # cell(u, e) is the edge id of vertex u of the other factor times edge e of f
+    for f, other, cell in ((y, x, lambda u, e: _h(y, u, e)), (x, y, lambda u, e: _v(y, e, u))):
+        if not _chains(([v for ends in f[1] for v in ends],), f[0]).any():
+            pairs.append((_word_on_edges(nq, [cell(u, 0) for u in range(other[0])], "X"),
+                          _word_on_edges(nq, [cell(0, e) for e in range(len(f[1]))], "Z")))
+    return LogicalOperators(tuple(pairs))

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from stabkit import catalog, gf2, pauli, stabilizer as stab
@@ -17,6 +19,17 @@ DISK = CellComplex(4, ((0, 1), (1, 2), (2, 3), (3, 0), (1, 3)), ((3, 0, 4), (1, 
 # same complex after the torus identifications: one vertex, three loops,
 # two faces with equal Z2 boundary
 TORUS = CellComplex(1, ((0, 0), (0, 0), (0, 0)), ((0, 2, 1), (1, 0, 2)))
+
+# tori with a side of 2 and with unequal sides; planar strips one column
+# wide (1x1, 3x1), whose relative path has no vertices and so no X checks
+LATTICES = [
+    ("toric", 2, 2), ("toric", 2, 3), ("toric", 2, 5), ("toric", 3, 3), ("toric", 4, 3),
+    ("planar", 1, 1), ("planar", 1, 2), ("planar", 2, 3), ("planar", 3, 1), ("planar", 2, 4),
+]
+
+
+def _build(kind, m, n):
+    return (build_toric if kind == "toric" else build_planar)(m, n)
 
 
 def test_disk_homology():
@@ -65,7 +78,7 @@ def test_toric_rejects_small():
 
 
 @pytest.mark.parametrize(
-    "m,n", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 5)]
+    "m,n", [(1, 2), (2, 2), (2, 3), (3, 3), (1, 5), (2, 1), (5, 1)]
 )
 def test_planar_counts(m, n):
     lat = build_planar(m, n)
@@ -90,21 +103,16 @@ def test_planar_1x2_paper_example():
     assert pauli.format_word(zbar) == "ZZIII"  # Z0 Z1
 
 
-def test_boundary_composition_vanishes():
-    for cx in (
-        DISK,
-        TORUS,
-        build_toric(2, 3).complex,
-        build_toric(2, 3).dual,
-        build_planar(2, 3).complex,
-        build_planar(2, 3).dual,
-    ):
-        d1, d2 = cx.boundary1, cx.boundary2
-        for f in range(d2.cols):
-            col = gf2.BitVector(d2.rows)
-            for e in range(d2.rows):
-                col.set(e, d2.get(e, f))
-            assert d1.mat_vec(col).is_zero()
+@pytest.mark.parametrize(
+    "cx", [DISK, TORUS] + [getattr(_build(*p), side) for p in LATTICES for side in ("complex", "dual")]
+)
+def test_boundary_composition_vanishes(cx):
+    d1, d2 = cx.boundary1, cx.boundary2
+    for f in range(d2.cols):
+        col = gf2.BitVector(d2.rows)
+        for e in range(d2.rows):
+            col.set(e, d2.get(e, f))
+        assert d1.mat_vec(col).is_zero()
 
 
 def test_faces_closed_walks():
@@ -173,10 +181,26 @@ def test_logicals_commute_with_stabilizers():
         assert logical_cycles(lat).violations(code) == []
 
 
-def test_homology_equals_logical_count():
-    assert homology_rank(build_toric(3, 3).complex, 1) == 2
-    assert homology_rank(build_planar(2, 3).complex, 1) == 1
-    assert homology_rank(build_planar(1, 2).dual, 1) == 1
+@pytest.mark.parametrize("kind,m,n", LATTICES)
+def test_homology_equals_logical_count(kind, m, n):
+    lat = _build(kind, m, n)
+    k = stab.StabilizerCode("lat", stabilizers_from_lattice(lat)).num_logical_qubits()
+    assert k == (2 if kind == "toric" else 1)
+    assert homology_rank(lat.complex, 1) == homology_rank(lat.dual, 1) == k == len(logical_cycles(lat).pairs)
+
+
+def test_generator_and_logical_order_pinned():
+    """Any move in edge, generator or logical order changes this digest of
+    every toric m x n (2 <= m, n <= 8) and planar m x n (1 <= m, n <= 8)."""
+    h = hashlib.sha256()
+    for build, sizes in ((build_toric, range(2, 9)), (build_planar, range(1, 9))):
+        for m in sizes:
+            for n in sizes:
+                lat = build(m, n)
+                pairs = logical_cycles(lat).pairs
+                words = stabilizers_from_lattice(lat) + [w for pair in pairs for w in pair]
+                h.update((" ".join(pauli.format_word(w) for w in words) + "\n").encode())
+    assert h.hexdigest() == "6e4c6cedce8ed8c62d0981b3d54c2130ffbfca5c25ae2da03e24889a634b81f5"
 
 
 @pytest.mark.parametrize(
