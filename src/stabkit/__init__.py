@@ -59,7 +59,6 @@ from .stabilizer import (
 )
 from .statevec import (
     Circuit,
-    ProjectorEncoder,
     StateVector,
     apply,
     apply_pauli,

@@ -1,6 +1,10 @@
 """Constructors for the named codes, each bundled with encoder circuit,
 canonical logical operators, and [[n, k, d]] parameters.
 
+The five fixed codes carry hand-written encoders; the toric and planar
+codes carry the Steane-style CSS encoder that `_css_encoder` builds from
+their X checks and logical X words.
+
 The d recorded for the detection-oriented codes (two-qubit, both
 three-qubit codes) is the published label, which counts only the error
 type the code targets; their full-Pauli distance from
@@ -13,18 +17,25 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+import numpy as np
+
+from . import gf2
 from . import lattice as lattice_mod
 from . import pauli, stabilizer
 from ._record import Record
 from .pauli import PauliWord
 from .stabilizer import LogicalOperators, StabilizerCode
-from .statevec import PROJECTOR_ENCODER_MAX_QUBITS, Circuit, ProjectorEncoder
+from .statevec import Circuit
 
 
 class CodeBundle(Record):
+    """A code with its [[n, k, d]] parameters, rate k/n, canonical logical
+    (X, Z) pairs and encoder: a gate circuit on n qubits that maps input
+    qubit j (on qubit j, the rest in |0>) to logical qubit j."""
+
     __slots__ = _fields = ("code", "encoder", "logical", "params", "rate")
 
-    def __init__(self, code: StabilizerCode, encoder: Circuit | ProjectorEncoder | None,
+    def __init__(self, code: StabilizerCode, encoder: Circuit,
                  logical: LogicalOperators, params: tuple[int, int, int], rate: Fraction):
         self._fill(code, encoder, logical, params, rate)
 
@@ -116,19 +127,44 @@ def make_five_qubit() -> CodeBundle:
     return _bundle(code, enc, [_pair(5, "XXXXX", "ZZZZZ")], d=3)
 
 
+def _css_encoder(code: StabilizerCode, logical_x: list[PauliWord]) -> Circuit:
+    """Steane-style encoder of a CSS code (Gottesman 1997, quant-ph/9705052 §4).
+
+    Only the X checks have x bits, so the leading rows of the parity
+    check's RREF (pivots < n) are RREF(Hx), with pivots P. Each logical X
+    word, reduced against them, vanishes on P; the reduced words must
+    already be in RREF, with pivots Q. Input qubit j moves to Q_j, fans out
+    to the rest of its reduced word, and each X row then puts |+> on its
+    pivot and fans out to the rest of the row.
+    """
+    n = code.n
+    rs = code.rowspace()
+    x_rows = sum(p < n for p in rs.pivots)
+    words = gf2.BitMatrix(len(logical_x), 2 * n, np.stack(
+        [gf2._reduce_against(rs.rref, rs.pivots, x.symplectic()).data for x in logical_x]))
+    rref, q = gf2.row_reduce(words)
+    if rref != words or len(q) != len(logical_x):
+        raise ValueError(f"{code.name}: the reduced logical X words are not in RREF")
+    enc = Circuit(n)
+    for j in reversed(range(len(q))):
+        # Q is increasing, so q[j] >= j, and qubit q[j] still holds |0>
+        if q[j] != j:
+            enc.swap(j, q[j])
+    fans = [(p, row, False) for p, row in zip(q, gf2._unpack(words.data, n))]
+    fans += [(p, row, True) for p, row in zip(rs.pivots, gf2._unpack(rs.rref.data[:x_rows], n))]
+    for pivot, row, hadamard in fans:
+        if hadamard:
+            enc.h(pivot)
+        for t in np.flatnonzero(row):
+            if t != pivot:
+                enc.cx(pivot, int(t))
+    return enc
+
+
 def _lattice_bundle(lat: lattice_mod.Lattice, name: str, d: int) -> CodeBundle:
-    gens = lattice_mod.stabilizers_from_lattice(lat)
-    code = StabilizerCode(name, gens)
-    logical = lattice_mod.logical_cycles(lat)
-    if lat.n_qubits <= PROJECTOR_ENCODER_MAX_QUBITS:
-        encoder = ProjectorEncoder(
-            n=lat.n_qubits,
-            generators=tuple(g.copy() for g in gens),
-            logical_x=tuple(x.copy() for x, _ in logical.pairs),
-        )
-    else:
-        encoder = None
-    return _bundle(code, encoder, logical.pairs, d)
+    code = StabilizerCode(name, lattice_mod.stabilizers_from_lattice(lat))
+    pairs = lattice_mod.logical_cycles(lat).pairs
+    return _bundle(code, _css_encoder(code, [x for x, _ in pairs]), pairs, d)
 
 
 def make_toric(m: int, n: int) -> CodeBundle:

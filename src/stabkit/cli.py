@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import analytic, catalog, montecarlo, pauli, qasm, stabilizer
-from .lattice import build_planar, build_toric, homology_rank
+from .lattice import build_planar, build_toric, homology_rank, logical_cycles, stabilizers_from_lattice
 
 SCHEMA_VERSION = 1
 
@@ -171,18 +171,19 @@ def _cmd_bounds(args) -> int:
 def _cmd_lattice(args) -> int:
     toric = args.type == "toric"
     lat = (build_toric if toric else build_planar)(args.rows, args.cols)
-    bundle = (catalog.make_toric if toric else catalog.make_planar)(args.rows, args.cols)
+    generators = len(stabilizers_from_lattice(lat))
+    pairs = logical_cycles(lat).pairs
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type": args.type,
         "rows": args.rows,
         "cols": args.cols,
         "qubits": lat.n_qubits,
-        "generators": bundle.code.num_generators,
-        "k": bundle.code.num_logical_qubits(),
+        "generators": generators,
+        "k": lat.n_qubits - generators,
         "h1_rank": homology_rank(lat.complex, 1),
-        "logical_x": [pauli.format_product(x) for x, _ in bundle.logical.pairs],
-        "logical_z": [pauli.format_product(z) for _, z in bundle.logical.pairs],
+        "logical_x": [pauli.format_product(x) for x, _ in pairs],
+        "logical_z": [pauli.format_product(z) for _, z in pairs],
     }
     if args.json:
         print(json.dumps(doc, indent=2))

@@ -155,8 +155,6 @@ def build_code_demo(bundle, model: NoiseModel) -> tuple[Circuit, tuple[Register,
     data qubits come first, then noise ancillas, then syndrome ancillas.
     """
     code = bundle.code
-    if not isinstance(bundle.encoder, Circuit):
-        raise ValueError("demo needs a gate-circuit encoder")
     n = code.n
     coins = _noise_coins(model, n=n)
     n_coins = len(coins)

@@ -15,8 +15,6 @@ from .pauli import PauliWord
 from .stabilizer import Syndrome
 
 MAX_QUBITS = 20
-# largest register ProjectorEncoder builds (a dense 2^n projection)
-PROJECTOR_ENCODER_MAX_QUBITS = 14
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -444,43 +442,6 @@ def swap_test_expectation(a: StateVector, b: StateVector) -> float:
     return p0 - (1.0 - p0)
 
 
-class ProjectorEncoder(Record):
-    """State-preparation encoder for codes without a gate-level circuit.
-
-    Builds logical basis states by projecting |0...0> onto the stabilizer
-    group's symmetric subspace with successive (1+g)/2 factors, then applying
-    logical X words for each basis label.
-    """
-
-    __slots__ = _fields = ("n", "generators", "logical_x")
-
-    def __init__(self, n: int, generators: tuple[PauliWord, ...], logical_x: tuple[PauliWord, ...]):
-        self._fill(n, generators, logical_x)
-
-    def logical_basis(self) -> list[StateVector]:
-        if self.n > PROJECTOR_ENCODER_MAX_QUBITS:
-            raise ValueError(
-                f"projector encoder limited to {PROJECTOR_ENCODER_MAX_QUBITS} physical qubits"
-            )
-        base = np.zeros(1 << self.n, dtype=complex)
-        base[0] = 1.0
-        view_axes = list(range(self.n))
-        for g in self.generators:
-            acted = _apply_pauli_slab(base.reshape([2] * self.n), g, view_axes)
-            base = base + acted.reshape(-1)
-        zero_l = _normalized(base)
-        states = []
-        k = len(self.logical_x)
-        for label in range(1 << k):
-            s = StateVector(self.n, zero_l)
-            for j in range(k):
-                # logical qubit 0 is the most significant bit of the label
-                if (label >> (k - 1 - j)) & 1:
-                    apply_pauli(s, self.logical_x[j])
-            states.append(s)
-        return states
-
-
 def _normalized(amps: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(amps)
     if norm < 1e-12:
@@ -488,34 +449,17 @@ def _normalized(amps: np.ndarray) -> np.ndarray:
     return amps / norm
 
 
-class EncoderUnavailable(RuntimeError):
-    """Raised when a bundle carries no usable encoder."""
-
-
 def encode(bundle, input_state: StateVector) -> StateVector:
-    """Map a k-qubit input to its logical n-qubit state via the bundle's
-    encoder (gate circuit or projector preparation)."""
-    enc = getattr(bundle, "encoder", bundle)
-    if enc is None:
-        raise EncoderUnavailable("bundle has no encoder (lattice too large)")
-    if isinstance(enc, Circuit):
-        n = enc.n_qubits
-        k = input_state.n
-        rest = np.zeros(1 << (n - k), dtype=complex)
-        rest[0] = 1.0
-        full = StateVector(n, np.kron(input_state.amps, rest))
-        apply(full, enc)
-        return full
-    if isinstance(enc, ProjectorEncoder):
-        basis = enc.logical_basis()
-        k = input_state.n
-        if len(basis) != 1 << k:
-            raise ValueError("input size does not match logical qubit count")
-        amps = np.zeros(1 << enc.n, dtype=complex)
-        for label, amp in enumerate(input_state.amps):
-            amps += amp * basis[label].amps
-        return StateVector(enc.n, _normalized(amps))
-    raise TypeError(f"unknown encoder type {type(enc).__name__}")
+    """Map a k-qubit input to its logical n-qubit state: input qubit j
+    enters on qubit j, the other n - k qubits start in |0>, and the
+    bundle's encoder circuit runs on the register."""
+    n, k, _ = bundle.params
+    if input_state.n != k:
+        raise ValueError(f"input has {input_state.n} qubits; {bundle.name} encodes {k}")
+    full = StateVector(n)  # refuses n > MAX_QUBITS before 2^n amplitudes exist
+    full.amps = np.kron(input_state.amps, full.amps[: 1 << (n - k)])
+    apply(full, bundle.encoder)
+    return full
 
 
 def hadamard_test_syndrome(

@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 from stabkit import catalog, pauli, stabilizer as stab, statevec as sv
-from stabkit.statevec import StateVector
+from stabkit.gf2 import BitVector
+from stabkit.statevec import Circuit, StateVector
 
 ALL_FIXED = ["two-qubit", "three-qubit-bit", "three-qubit-phase", "shor", "five-qubit"]
+# every lattice shape up to MAX_QUBITS: toric:3x3 is 18 qubits, planar:3x1 has no X checks
+ENCODED = ALL_FIXED + ["toric:2x2", "planar:1x2", "toric:2x3", "toric:3x3", "planar:2x3",
+                       "planar:1x5", "planar:3x1"]
 
 
 @pytest.mark.parametrize(
@@ -34,7 +38,7 @@ def test_bundles_validate(name):
     assert bundle.code.num_logical_qubits() == bundle.params[1]
 
 
-@pytest.mark.parametrize("name", ALL_FIXED + ["toric:2x2", "planar:1x2"])
+@pytest.mark.parametrize("name", ENCODED)
 def test_encoder_reaches_code_space(name):
     bundle = catalog.by_name(name)
     k = bundle.params[1]
@@ -46,7 +50,7 @@ def test_encoder_reaches_code_space(name):
         assert sv.expectation_pauli(enc, g) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("name", ALL_FIXED + ["toric:2x2", "planar:1x2"])
+@pytest.mark.parametrize("name", ENCODED)
 def test_logical_action(name):
     bundle = catalog.by_name(name)
     k = bundle.params[1]
@@ -126,21 +130,48 @@ def test_planar_counts_formula():
     assert catalog.make_planar(2, 3).params[1] == 1
 
 
-def test_large_lattice_has_no_encoder():
-    assert catalog.make_toric(3, 3).encoder is None
-    assert catalog.make_toric(2, 2).encoder is not None
+def _conjugate(circuit: Circuit, xz: np.ndarray) -> np.ndarray:
+    """0/1 (x|z) rows P mapped to U P U^dagger by the circuit's H, CX and
+    SWAP gates, phases dropped: a tableau check that needs no state vector."""
+    n = circuit.n_qubits
+    x, z = xz[:, :n].copy(), xz[:, n:].copy()
+    for op in circuit.ops:
+        if op.kind == "h":
+            q = op.targets[0]
+            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        elif op.kind == "cx":
+            c, t = op.controls[0], op.targets[0]
+            x[:, t] ^= x[:, c]
+            z[:, c] ^= z[:, t]
+        else:
+            assert op.kind == "swap"
+            pair = list(op.targets)
+            x[:, pair], z[:, pair] = x[:, pair[::-1]], z[:, pair[::-1]]
+    return np.concatenate([x, z], axis=1)
 
 
-@pytest.mark.parametrize("rows, cols, n_qubits", [(1, 5, 14), (1, 6, 17)])
-def test_projector_encoder_limit(rows, cols, n_qubits):
-    # 14 and 17 qubits: the largest planar code with a projector encoder
-    # and the smallest without one
-    bundle = catalog.make_planar(rows, cols)
-    assert bundle.code.n == n_qubits
-    if n_qubits <= sv.PROJECTOR_ENCODER_MAX_QUBITS:
-        assert isinstance(bundle.encoder, sv.ProjectorEncoder)
-    else:
-        assert bundle.encoder is None
+@pytest.mark.parametrize("name", ["toric:6x6", "planar:1x6", "toric:2x2", "planar:3x1"])
+def test_lattice_encoder_maps_paulis_to_code(name):
+    # past MAX_QUBITS too: the ancillas' Z images must be stabilizers and
+    # input j's Z and X images the logical Z and X of qubit j, up to stabilizers
+    bundle = catalog.by_name(name)
+    n, k, _ = bundle.params
+    assert isinstance(bundle.encoder, Circuit) and bundle.encoder.n_qubits == n
+    images = _conjugate(bundle.encoder, np.eye(2 * n, dtype=np.uint8))
+    z_img, x_img = images[n:], images[:n]
+    rs = bundle.code.rowspace()
+    for row in z_img[k:]:
+        assert rs.contains(BitVector.from_bits(row))
+    for j, (xbar, zbar) in enumerate(bundle.logical.pairs):
+        for img, word in ((z_img[j], zbar), (x_img[j], xbar)):
+            assert rs.contains(BitVector.from_bits(img) ^ word.symplectic())
+
+
+def test_css_encoder_needs_reduced_logicals():
+    bundle = catalog.make_toric(2, 2)
+    (x1, _), (x2, _) = bundle.logical.pairs
+    with pytest.raises(ValueError, match="RREF"):
+        catalog._css_encoder(bundle.code, [x1, pauli.multiply(x1, x2)])
 
 
 def test_by_name_errors():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabkit import catalog, montecarlo as mc, pauli, qasm, statevec as sv
+from stabkit import catalog, montecarlo as mc, pauli, qasm, stabilizer as stab, statevec as sv
 from stabkit.statevec import Circuit, StateVector
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,9 +131,20 @@ def test_demo_rejects_bad_designated_qubits(qubits):
         qasm.emit_code_demo(catalog.make_shor(), mc.IndependentXZ(0.1, 0.1, qubits=qubits))
 
 
-def test_demo_requires_gate_encoder():
-    with pytest.raises(ValueError):
-        qasm.emit_code_demo(catalog.make_toric(2, 2), mc.BitFlip(0.1))
+@pytest.mark.parametrize("name", ["planar:1x2", "toric:2x2"])
+def test_lattice_demo_roundtrip_and_syndromes(name):
+    bundle = catalog.by_name(name)
+    code = bundle.code
+    n, l = code.n, code.num_generators
+    circ, qregs, cregs = qasm.build_code_demo(bundle, mc.BitFlip(0.1))
+    source = qasm.emit(circ, qregs, cregs).source
+    assert qasm.emit(*qasm.parse_qasm(source)).source == source
+    # the n coins are measured first: none fired, then each one alone
+    for fired in (None, *range(n)):
+        coins = [int(q == fired) for q in range(n)]
+        rec, _, _ = sv.apply_with_recycling(circ, np.random.default_rng(0), coins)
+        error = pauli.PauliWord.identity(n) if fired is None else pauli.PauliWord.single(n, fired, "X")
+        assert tuple(rec.bits[n + i] for i in range(l)) == stab.syndrome(code, error).bits
 
 
 def test_emission_deterministic():

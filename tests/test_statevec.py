@@ -178,17 +178,18 @@ def test_encode_shor_ghz_product():
     assert np.allclose(enc.amps, expected)
 
 
-def test_encode_requires_encoder():
-    bundle = catalog.make_toric(3, 3)  # 18 qubits: projector encoder omitted
-    assert bundle.encoder is None
-    with pytest.raises(sv.EncoderUnavailable):
+def test_encode_rejects_wrong_input_size():
+    with pytest.raises(ValueError, match="encodes 1"):
+        sv.encode(catalog.make_five_qubit(), StateVector(2))
+    with pytest.raises(ValueError, match="encodes 2"):
+        sv.encode(catalog.make_toric(2, 2), StateVector(1))
+
+
+def test_encode_stops_at_max_qubits():
+    bundle = catalog.make_toric(4, 4)  # 32 qubits: a gate encoder, but no state vector
+    assert isinstance(bundle.encoder, Circuit)
+    with pytest.raises(ValueError, match=f"> {sv.MAX_QUBITS}"):
         sv.encode(bundle, StateVector(2))
-
-
-def test_projector_encoder_rejects_oversized_register():
-    enc = sv.ProjectorEncoder(n=sv.PROJECTOR_ENCODER_MAX_QUBITS + 1, generators=(), logical_x=())
-    with pytest.raises(ValueError, match="projector encoder limited"):
-        enc.logical_basis()
 
 
 def test_hadamard_test_syndrome_five_qubit():
