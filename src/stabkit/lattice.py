@@ -39,12 +39,14 @@ class CellComplex(Record):
     @cached_property
     def boundary1(self) -> BitMatrix:
         """vertices x edges incidence over Z2."""
-        return BitMatrix.from_rows(_chains(self.edges, self.n_vertices).T, len(self.edges))
+        chains = _chains(self.edges, self.n_vertices)
+        return BitMatrix(self.n_vertices, len(self.edges), gf2._pack(chains.T))
 
     @cached_property
     def boundary2(self) -> BitMatrix:
         """edges x faces incidence over Z2."""
-        return BitMatrix.from_rows(_chains(self.faces, len(self.edges)).T, len(self.faces))
+        chains = _chains(self.faces, len(self.edges))
+        return BitMatrix(len(self.edges), len(self.faces), gf2._pack(chains.T))
 
     def violations(self) -> list[str]:
         out = []
@@ -60,7 +62,7 @@ def _chains(cells, length: int) -> np.ndarray:
     cells[j], so an index listed twice cancels."""
     rows = np.array([j for j, cell in enumerate(cells) for _ in cell], dtype=np.intp)
     cols = np.array([i for cell in cells for i in cell], dtype=np.intp)
-    counts = np.zeros((len(cells), length), dtype=np.int64)
+    counts = np.zeros((len(cells), length), dtype=np.uint8)  # parity survives wrap-around
     np.add.at(counts, (rows, cols), 1)
     return counts & 1
 

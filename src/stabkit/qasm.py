@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 
-from . import pauli
 from ._record import Record
 from .montecarlo import NoiseModel, _noise_coins
 from .stabilizer import build_syndrome_table
@@ -18,8 +17,11 @@ from .statevec import Circuit, Op
 
 HEADER = 'OPENQASM 3.0;\ninclude "stdgates.inc";\n'
 
-_SIMPLE_GATES = {"h", "x", "y", "z", "s", "sdg"}
-_ROTATIONS = {"rx", "ry", "rz"}
+# gate name -> (angle count, qubit count), the arguments of the Circuit
+# method of that name; a gate is written `name[(angle)] controls, targets;`
+_GATES = {**dict.fromkeys(("h", "x", "y", "z", "s", "sdg"), (0, 1)),
+          **dict.fromkeys(("rx", "ry", "rz"), (1, 1)),
+          **dict.fromkeys(("cx", "cz", "swap"), (0, 2))}
 
 
 def noise_angle(p: float) -> float:
@@ -36,11 +38,6 @@ class Register(Record):
     def __init__(self, name: str, start: int, size: int):
         self._fill(name, start, size)
 
-    def locate(self, flat: int) -> str | None:
-        if self.start <= flat < self.start + self.size:
-            return f"{self.name}[{flat - self.start}]"
-        return None
-
 
 class QasmProgram(Record):
     __slots__ = _fields = ("source", "qubit_registers", "classical_registers")
@@ -53,61 +50,25 @@ class QasmProgram(Record):
         return self.source
 
 
-class _Namer:
-    def __init__(self, registers: tuple[Register, ...], kind: str):
-        self.registers = registers
-        self.kind = kind
-
-    def __call__(self, flat: int) -> str:
-        for reg in self.registers:
-            loc = reg.locate(flat)
-            if loc is not None:
-                return loc
-        raise ValueError(f"{self.kind} index {flat} not covered by any register")
-
-    def whole_register(self, bits: tuple[int, ...]) -> Register:
-        for reg in self.registers:
-            if bits == tuple(range(reg.start, reg.start + reg.size)):
-                return reg
-        raise ValueError(
-            "conditions must test a whole classical register in order"
-        )
-
-
-def _format_angle(theta: float) -> str:
-    return repr(float(theta))
-
-
-def _emit_op(op: Op, qn: _Namer, cn: _Namer) -> list[str]:
-    if op.kind in _SIMPLE_GATES:
-        return [f"{op.kind} {qn(op.targets[0])};"]
-    if op.kind in _ROTATIONS:
-        return [f"{op.kind}({_format_angle(op.angle)}) {qn(op.targets[0])};"]
-    if op.kind == "cx" or op.kind == "cz":
-        return [f"{op.kind} {qn(op.controls[0])}, {qn(op.targets[0])};"]
-    if op.kind == "swap":
-        return [f"swap {qn(op.targets[0])}, {qn(op.targets[1])};"]
+def _emit_op(op: Op, qn: dict[int, str], cn: dict[int, str]) -> list[str]:
     if op.kind == "measure":
-        return [f"{cn(op.classical_bit)} = measure {qn(op.targets[0])};"]
+        return [f"{cn[op.classical_bit]} = measure {qn[op.targets[0]]};"]
     if op.kind == "cpauli":
         # expand to controlled one-qubit gates; controlled-Y is conjugated
-        # as S . CX . Sdg on the target (S X Sdg = Y)
-        lines = []
-        word = op.pauli
-        c = op.controls[0]
-        for t, letter in zip(op.targets, word.letters()):
-            if letter == "I":
-                continue
-            if letter == "X":
-                lines.append(f"cx {qn(c)}, {qn(t)};")
-            elif letter == "Z":
-                lines.append(f"cz {qn(c)}, {qn(t)};")
-            else:
-                lines.append(f"sdg {qn(t)};")
-                lines.append(f"cx {qn(c)}, {qn(t)};")
-                lines.append(f"s {qn(t)};")
-        return lines
-    raise ValueError(f"cannot emit op kind {op.kind!r}")
+        # as S . CX . Sdg on the target (S X Sdg = Y), and the controlled
+        # phase i^p is S^p on the control
+        c = op.controls
+        gates = [Op(("s", "z", "sdg")[op.pauli.phase - 1], c)] if op.pauli.phase else []
+        for t, letter in zip(op.targets, op.pauli.letters()):
+            if letter == "Y":
+                gates += [Op("sdg", (t,)), Op("cx", (t,), c), Op("s", (t,))]
+            elif letter != "I":
+                gates.append(Op("c" + letter.lower(), (t,), c))
+        return [line for g in gates for line in _emit_op(g, qn, cn)]
+    if op.kind not in _GATES:
+        raise ValueError(f"cannot emit op kind {op.kind!r}")
+    angle = "" if op.angle is None else f"({float(op.angle)!r})"
+    return [f"{op.kind}{angle} {', '.join(qn[q] for q in (*op.controls, *op.targets))};"]
 
 
 def emit(
@@ -126,8 +87,13 @@ def emit(
         classical_registers = (
             (Register("c", 0, circuit.n_classical),) if circuit.n_classical else ()
         )
-    qn = _Namer(qubit_registers, "qubit")
-    cn = _Namer(classical_registers, "bit")
+    qn, cn = ({r.start + i: f"{r.name}[{i}]" for r in regs for i in range(r.size)}
+              for regs in (qubit_registers, classical_registers))
+    for kind, names, width in (("qubit", qn, circuit.n_qubits), ("bit", cn, circuit.n_classical)):
+        missing = [i for i in range(width) if i not in names]
+        if missing:
+            raise ValueError(f"{kind} index {missing[0]} not covered by any register")
+    whole = {tuple(range(r.start, r.start + r.size)): r for r in classical_registers}
     lines = [HEADER.rstrip("\n")]
     for reg in qubit_registers:
         lines.append(f"qubit[{reg.size}] {reg.name};")
@@ -137,7 +103,9 @@ def emit(
         body = _emit_op(op, qn, cn)
         if op.condition is not None:
             bits, value = op.condition
-            reg = cn.whole_register(bits)
+            if bits not in whole:
+                raise ValueError("conditions must test a whole classical register in order")
+            reg = whole[bits]
             inner = " ".join(body)
             lines.append(f"if ({reg.name} == {value}) {{ {inner} }}")
         else:
@@ -211,7 +179,7 @@ def emit_code_demo(bundle, model: NoiseModel) -> QasmProgram:
 # minimal reader (round-trip testing only; not a general OpenQASM parser)
 
 _DECL = re.compile(r"^(qubit|bit)\[(\d+)\] (\w+);$")
-_MEASURE = re.compile(r"^(\w+)\[(\d+)\] = measure (\w+)\[(\d+)\];$")
+_MEASURE = re.compile(r"^(\w+\[\d+\]) = measure (\w+\[\d+\]);$")
 _GATE = re.compile(r"^(\w+)(?:\(([^)]+)\))? (.+);$")
 _IF = re.compile(r"^if \((\w+) == (\d+)\) \{ (.*) \}$")
 _OPERAND = re.compile(r"^(\w+)\[(\d+)\]$")
@@ -242,11 +210,11 @@ def parse_qasm(text: str) -> tuple[Circuit, tuple[Register, ...], tuple[Register
     cmap = {r.name: r for r in cregs}
     circ = Circuit(sum(r.size for r in qregs), sum(r.size for r in cregs))
 
-    def flat_q(operand: str) -> int:
+    def flat(operand: str, regs: dict[str, Register]) -> int:
         m = _OPERAND.match(operand.strip())
-        if not m or m.group(1) not in qmap:
-            raise QasmParseError(f"bad qubit operand {operand!r}")
-        reg = qmap[m.group(1)]
+        if not m or m.group(1) not in regs:
+            raise QasmParseError(f"bad operand {operand!r}")
+        reg = regs[m.group(1)]
         idx = int(m.group(2))
         if idx >= reg.size:
             raise QasmParseError(f"index {idx} exceeds register {reg.name}")
@@ -257,29 +225,28 @@ def parse_qasm(text: str) -> tuple[Circuit, tuple[Register, ...], tuple[Register
         if m:
             if condition is not None:
                 raise QasmParseError("conditioned measurement not supported")
-            creg = cmap[m.group(1)]
-            circ.measure(qmap[m.group(3)].start + int(m.group(4)),
-                         creg.start + int(m.group(2)))
+            circ.measure(flat(m.group(2), qmap), flat(m.group(1), cmap))
             return
         m = _GATE.match(stmt)
         if not m:
             raise QasmParseError(f"cannot parse statement {stmt!r}")
-        name, arg, operands = m.group(1), m.group(2), m.group(3)
-        qubits = [flat_q(tok) for tok in operands.split(",")]
-        if name in _SIMPLE_GATES:
-            getattr(circ, name)(qubits[0], condition=condition)
-        elif name in _ROTATIONS:
-            getattr(circ, name)(float(arg), qubits[0], condition=condition)
-        elif name in ("cx", "cz"):
-            getattr(circ, name)(qubits[0], qubits[1], condition=condition)
-        elif name == "swap":
-            circ.swap(qubits[0], qubits[1], condition=condition)
-        else:
+        name, angle, operands = m.groups()
+        angles = [] if angle is None else [angle]
+        qubits = [flat(tok, qmap) for tok in operands.split(",")]
+        if name not in _GATES:
             raise QasmParseError(f"unsupported gate {name!r}")
+        if _GATES[name] != (len(angles), len(qubits)):
+            raise QasmParseError(f"{name} takes (angles, qubits) = {_GATES[name]}: {stmt!r}")
+        try:
+            getattr(circ, name)(*map(float, angles), *qubits, condition=condition)
+        except ValueError as exc:
+            raise QasmParseError(f"{exc}: {stmt!r}") from exc
 
     for ln in lines[body_start:]:
         m = _IF.match(ln)
         if m:
+            if m.group(1) not in cmap:
+                raise QasmParseError(f"unknown bit register {m.group(1)!r}")
             reg = cmap[m.group(1)]
             cond = (tuple(range(reg.start, reg.start + reg.size)), int(m.group(2)))
             inner = m.group(3).strip()

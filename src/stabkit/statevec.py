@@ -3,6 +3,10 @@
 Convention: qubit 0 is the most significant bit of the amplitude index, so
 the ket string |q0 q1 ...> reads left to right. Equality of states is always
 checked through fidelity, never amplitude-wise, to stay global-phase blind.
+
+Every Circuit runs through the one op loop `_run`. Its one control
+rule: a controlled op acts on the control = 1 slab of the register, in which
+each target axis above the control's axis shifts down by one.
 """
 from __future__ import annotations
 
@@ -15,6 +19,8 @@ from .pauli import PauliWord
 from .stabilizer import Syndrome
 
 MAX_QUBITS = 20
+
+_PAULI_LETTERS = {"x": "X", "y": "Y", "z": "Z", "cx": "X", "cz": "Z"}
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -81,7 +87,10 @@ class Circuit:
                 raise ValueError(f"qubit {q} out of range for n={self.n_qubits}")
 
     def _add(self, op: Op) -> "Circuit":
-        self._check(*op.targets, *op.controls)
+        qubits = (*op.controls, *op.targets)
+        self._check(*qubits)
+        if len(set(qubits)) < len(qubits):
+            raise ValueError(f"{op.kind} names a qubit twice in {qubits}")
         self.ops.append(op)
         return self
 
@@ -128,8 +137,6 @@ class Circuit:
         targets = tuple(targets)
         if len(targets) != word.n:
             raise ValueError("target count must equal word size")
-        if control in targets:
-            raise ValueError("control qubit cannot be a target")
         return self._add(Op("cpauli", targets, (control,), pauli=word, condition=condition))
 
     def measure(self, q, classical_bit):
@@ -210,17 +217,11 @@ def _apply_1q(state: StateVector, mat: np.ndarray, q: int) -> None:
     a[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
 
 
-def _slab(view: np.ndarray, n: int, **axis_values: int):
-    sl: list = [slice(None)] * n
-    for ax, val in axis_values.items():
-        sl[int(ax[1:])] = val
-    return tuple(sl)
-
-
-def _apply_pauli_slab(sub: np.ndarray, word: PauliWord, axes: list[int]) -> np.ndarray:
-    """Apply a PauliWord to an ndarray view; axes[q] is the array axis of qubit q."""
+def _apply_pauli_slab(sub: np.ndarray, letters: str, axes: list[int], phase: int = 0) -> np.ndarray:
+    """i^phase times the Pauli `letters` applied to an ndarray view, as a new
+    array; axes[q] is the array axis of letter q."""
     out = sub
-    for q, letter in enumerate(word.letters()):
+    for q, letter in enumerate(letters):
         if letter == "I":
             continue
         ax = axes[q]
@@ -234,7 +235,7 @@ def _apply_pauli_slab(sub: np.ndarray, word: PauliWord, axes: list[int]) -> np.n
                 # after the flip, amplitude entering index 0 is scaled by -i
                 sign = np.array([-1j, 1j], dtype=complex).reshape(shape)
             out = out * sign
-    return out * (1j ** word.phase)
+    return out * (1j ** phase)
 
 
 def apply_pauli(state: StateVector, word: PauliWord) -> None:
@@ -242,7 +243,7 @@ def apply_pauli(state: StateVector, word: PauliWord) -> None:
     if word.n != state.n:
         raise ValueError("qubit count mismatch")
     v = _view(state)
-    state.amps = _apply_pauli_slab(v, word, list(range(state.n))).reshape(-1)
+    state.amps = _apply_pauli_slab(v, word.letters(), list(range(state.n)), word.phase).reshape(-1)
 
 
 def _measure(state: StateVector, q: int, rng, forced: int | None) -> tuple[int, float]:
@@ -344,35 +345,31 @@ def apply(
 
 
 def _apply_unitary_op(state: StateVector, op: Op, axis) -> None:
-    """Apply a non-measurement op; `axis` maps a qubit id to its register axis."""
-    n = state.n
+    """Apply a non-measurement op; `axis` maps a qubit id to its register axis.
+
+    A controlled op acts on the slab v[(slice(None),) * c + (1,)] of the
+    register view v, where c is the control's axis; in that slab a target
+    axis t > c is axis t - 1. Paulis (x, y, z, cx, cz, cpauli) go through
+    _apply_pauli_slab, swap is np.swapaxes, and h, s, sdg and the rotations
+    go through their 2x2 matrix.
+    """
     ts = [axis(q) for q in op.targets]
-    c = axis(op.controls[0]) if op.controls else None
-    if op.kind in GATE_MATRICES and op.kind != "i":
-        _apply_1q(state, GATE_MATRICES[op.kind], ts[0])
-    elif op.kind in ("rx", "ry", "rz"):
-        _apply_1q(state, rotation_matrix(op.kind[1], op.angle), ts[0])
-    elif op.kind == "cx":
-        v = _view(state)
-        sl = _slab(v, n, **{f"a{c}": 1})
-        v[sl] = np.flip(v[sl], axis=ts[0] - (1 if ts[0] > c else 0))
-    elif op.kind == "cz":
-        v = _view(state)
-        sl = _slab(v, n, **{f"a{c}": 1, f"a{ts[0]}": 1})
-        v[sl] *= -1.0
-    elif op.kind == "swap":
-        v = _view(state)
-        a, b = ts
-        sl01 = _slab(v, n, **{f"a{a}": 0, f"a{b}": 1})
-        sl10 = _slab(v, n, **{f"a{a}": 1, f"a{b}": 0})
-        tmp = v[sl01].copy()
-        v[sl01] = v[sl10]
-        v[sl10] = tmp
+    if op.kind in ("h", "s", "sdg"):
+        return _apply_1q(state, GATE_MATRICES[op.kind], ts[0])
+    if op.kind in ("rx", "ry", "rz"):
+        return _apply_1q(state, rotation_matrix(op.kind[1], op.angle), ts[0])
+    v = _view(state)
+    sl: tuple = ()
+    if op.controls:
+        c = axis(op.controls[0])
+        sl = (slice(None),) * c + (1,)
+        ts = [t - (t > c) for t in ts]
+    if op.kind == "swap":
+        v[sl] = np.swapaxes(v[sl], *ts)
+    elif op.kind in _PAULI_LETTERS:
+        v[sl] = _apply_pauli_slab(v[sl], _PAULI_LETTERS[op.kind], ts)
     elif op.kind == "cpauli":
-        v = _view(state)
-        sl = _slab(v, n, **{f"a{c}": 1})
-        data_axes = [t - (1 if t > c else 0) for t in ts]
-        v[sl] = _apply_pauli_slab(v[sl], op.pauli, data_axes)
+        v[sl] = _apply_pauli_slab(v[sl], op.pauli.letters(), ts, op.pauli.phase)
     else:
         raise ValueError(f"unsupported op kind {op.kind!r}")
 
@@ -442,13 +439,6 @@ def swap_test_expectation(a: StateVector, b: StateVector) -> float:
     return p0 - (1.0 - p0)
 
 
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(amps)
-    if norm < 1e-12:
-        raise ValueError("projection annihilated the state")
-    return amps / norm
-
-
 def encode(bundle, input_state: StateVector) -> StateVector:
     """Map a k-qubit input to its logical n-qubit state: input qubit j
     enters on qubit j, the other n - k qubits start in |0>, and the
@@ -470,29 +460,23 @@ def hadamard_test_syndrome(
 ) -> tuple[Syndrome, StateVector]:
     """Extract the syndrome of `state` with one Hadamard test per generator.
 
-    Ancillas are appended one at a time (generator-by-generator staging), so
-    the peak register is n+1 qubits. For states of the form E|psi>_L with
-    Pauli E, every measurement is deterministic.
+    One circuit on n + l qubits: ancilla n+i gets H, the controlled
+    generator i, H, and a measurement into bit i. `_run` adds each ancilla
+    as a fresh |0> at its first gate and drops it after its measurement, so
+    the peak register is n+1 qubits. `postselect` forces the l outcomes.
+    For states of the form E|psi>_L with Pauli E, every measurement is
+    deterministic.
     """
     generators = list(generators)
-    work = state.copy()
-    bits = []
+    n, l = state.n, len(generators)
+    if any(g.n != n for g in generators):
+        raise ValueError("generator size mismatch")
+    if postselect is not None and len(postselect) != l:
+        raise ValueError(f"postselect has {len(postselect)} outcomes for {l} generators")
+    circ = Circuit(n + l, n_classical=l)
+    last_use = {}
     for i, g in enumerate(generators):
-        if g.n != work.n:
-            raise ValueError("generator size mismatch")
-        amps = np.kron(work.amps, np.array([1.0, 0.0], dtype=complex))
-        full = StateVector(work.n + 1, amps)
-        anc = work.n
-        circ = Circuit(work.n + 1, n_classical=1)
-        circ.h(anc)
-        circ.cpauli(anc, g)
-        circ.h(anc)
-        circ.measure(anc, 0)
-        forced = [postselect[i]] if postselect is not None else None
-        rec = apply(full, circ, rng=rng, forced_outcomes=forced)
-        bits.append(rec.bits[0])
-        # ancilla measured: drop it (it is in a product state)
-        v = full.amps.reshape(-1, 2)
-        col = v[:, rec.bits[0]]
-        work = StateVector(work.n, _normalized(col))
-    return Syndrome(tuple(bits)), work
+        circ.h(n + i).cpauli(n + i, g).h(n + i).measure(n + i, i)
+        last_use[n + i] = len(circ.ops) - 1
+    record, post = _run(circ.ops, state.copy(), list(range(n)), last_use, rng, postselect)
+    return Syndrome(tuple(record.outcomes)), post

@@ -92,6 +92,17 @@ def test_controlled_y_expansion():
     assert np.allclose(direct.amps, expanded.amps)
 
 
+@pytest.mark.parametrize("word", ["XZ", "-XZ", "iYX", "-iZY"])
+def test_controlled_word_phase_survives_emission(word):
+    circ = Circuit(3).cpauli(1, pauli.parse(word, 2), targets=(2, 0))
+    parsed, _, _ = qasm.parse_qasm(qasm.emit(circ).source)
+    amps = np.random.default_rng(8).normal(size=(8, 2)) @ [1, 1j]
+    direct, expanded = (StateVector(3, amps / np.linalg.norm(amps)) for _ in range(2))
+    sv.apply(direct, circ)
+    sv.apply(expanded, parsed)
+    assert np.allclose(direct.amps, expanded.amps, atol=1e-12)
+
+
 def test_three_qubit_demo_structure():
     prog = qasm.emit_code_demo(catalog.make_three_qubit_bit(), mc.BitFlip(0.1))
     lines = prog.source.splitlines()
@@ -221,3 +232,25 @@ def test_parse_rejects_garbage():
         qasm.parse_qasm("h q[0];\n")
     with pytest.raises(qasm.QasmParseError):
         qasm.parse_qasm('OPENQASM 3.0;\ninclude "stdgates.inc";\nqubit[1] q;\nfoo q[0];\n')
+
+
+@pytest.mark.parametrize("stmt", [
+    "h q[0], q[1];", "cx q[0];", "rx q[0];", "rx q[0], q[1];", "h(0.5) q[0];", "rx(abc) q[0];",
+    "cx q[0], q[0];", "x q[2];", "x r[0];", "c[1] = measure q[0];", "if (d == 1) { x q[0]; }",
+])
+def test_parse_rejects_malformed_statement(stmt):
+    text = f"{qasm.HEADER}qubit[2] q;\nbit[1] c;\n{stmt}\n"
+    with pytest.raises(qasm.QasmParseError):
+        qasm.parse_qasm(text)
+
+
+def test_emit_rejects_uncovered_qubit():
+    circ = Circuit(2).h(1)
+    with pytest.raises(ValueError, match="qubit index 1 not covered by any register"):
+        qasm.emit(circ, qubit_registers=(qasm.Register("q", 0, 1),))
+
+
+def test_emit_rejects_condition_on_part_of_register():
+    circ = Circuit(1, n_classical=2).measure(0, 0).x(0, condition=((0,), 1))
+    with pytest.raises(ValueError, match="whole classical register"):
+        qasm.emit(circ)

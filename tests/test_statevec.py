@@ -65,6 +65,59 @@ def test_norm_preserved_random_circuit():
     assert abs(state.norm() - 1.0) < 1e-10
 
 
+def _kron_blocks(n, blocks):
+    """Dense 2^n matrix: blocks[q] (a 2x2 matrix) on qubit q, identity elsewhere."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, blocks.get(q, np.eye(2)))
+    return out
+
+
+def _dense_gate(n, kind, qubits, angle=0.7):
+    """Oracle matrix of one gate, built from 2x2 blocks alone."""
+    m = sv.GATE_MATRICES
+    if kind == "swap":
+        return sum(_kron_blocks(n, dict.fromkeys(qubits, m[p])) for p in "ixyz") / 2
+    if kind in ("cx", "cz"):
+        c, t = qubits
+        return _kron_blocks(n, {c: np.diag([1, 0])}) + _kron_blocks(n, {c: np.diag([0, 1]), t: m[kind[1]]})
+    u = sv.rotation_matrix(kind[1], angle) if kind[0] == "r" else m[kind]
+    return _kron_blocks(n, {qubits[0]: u})
+
+
+@pytest.mark.parametrize("qubits", [(0, 2), (2, 0), (1, 2), (2, 1)], ids=str)
+@pytest.mark.parametrize("kind", ["x", "y", "z", "h", "s", "sdg", "rx", "ry", "rz", "cx", "cz", "swap"])
+def test_gate_matches_dense_matrix(kind, qubits):
+    # the one control rule and the one Pauli path against a dense oracle
+    state = random_state(np.random.default_rng(11), 3)
+    expected = _dense_gate(3, kind, qubits) @ state.amps
+    args = qubits if kind in ("cx", "cz", "swap") else qubits[:1]
+    if kind[0] == "r":
+        args = (0.7, *args)
+    sv.apply(state, getattr(Circuit(3), kind)(*args))
+    assert np.allclose(state.amps, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("control,targets", [(0, (1, 2, 3)), (2, (3, 0, 1)), (3, (2, 1, 0))])
+def test_cpauli_matches_dense_matrix(control, targets):
+    word = pauli.parse("-XYZ", 3)
+    state = random_state(np.random.default_rng(12), 4)
+    letters = {t: sv.GATE_MATRICES[a.lower()] for t, a in zip(targets, word.letters())}
+    p0, p1 = np.diag([1, 0]), np.diag([0, 1])
+    expected = (_kron_blocks(4, {control: p0}) - _kron_blocks(4, {control: p1, **letters})) @ state.amps
+    sv.apply(state, Circuit(4).cpauli(control, word, targets=targets))
+    assert np.allclose(state.amps, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("gate,args", [
+    ("cx", (0, 0)), ("cz", (1, 1)), ("swap", (0, 0)), ("cpauli", (1, pauli.parse("XZ", 2), (1, 2))),
+], ids=["cx", "cz", "swap", "cpauli"])
+def test_gate_naming_a_qubit_twice_is_rejected(gate, args):
+    # a repeated operand used to act on another qubit, with no error
+    with pytest.raises(ValueError, match="names a qubit twice"):
+        getattr(Circuit(3), gate)(*args)
+
+
 def test_measurement_seeded_and_projective():
     circ = Circuit(1, n_classical=1)
     circ.h(0)
@@ -241,6 +294,23 @@ def test_hadamard_test_coherent_error_branches():
         probs[outcome] = joint
     assert probs[(0, 0)] == pytest.approx(p00, abs=1e-9)
     assert probs[(1, 1)] == pytest.approx(1 - p00, abs=1e-9)
+
+
+def test_hadamard_test_postselect_picks_a_branch():
+    bundle = catalog.make_three_qubit_bit()
+    enc = sv.encode(bundle, random_state(np.random.default_rng(6), 1))
+    flipped = enc.copy()
+    sv.apply_pauli(flipped, pauli.parse("X1", 3))
+    mixed = StateVector(3, 0.8 * enc.amps + 0.6 * flipped.amps)
+    syn, post = sv.hadamard_test_syndrome(mixed, bundle.code.generators, postselect=[1, 1])
+    assert syn.bits == (1, 1)
+    assert sv.fidelity(post, flipped) > 1 - 1e-12
+    with pytest.raises(ValueError, match="random"):
+        sv.hadamard_test_syndrome(mixed, bundle.code.generators)
+    with pytest.raises(ValueError, match="postselect has 1 outcomes for 2 generators"):
+        sv.hadamard_test_syndrome(mixed, bundle.code.generators, postselect=[1])
+    with pytest.raises(ValueError, match="generator size mismatch"):
+        sv.hadamard_test_syndrome(mixed, [pauli.parse("ZZ", 2)])
 
 
 @pytest.mark.parametrize(
